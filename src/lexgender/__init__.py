@@ -6,10 +6,13 @@ from .classifier import (
     ROUTE_DICTIONARY,
     ROUTE_SEED,
     ROUTE_SUFFIX,
+    SeedHit,
     classify,
     classify_with_provider,
     combine,
     count_gendered,
+    count_hits,
+    seed_hits,
     seed_shortcut,
     suffix_heuristic,
     tokenize,
@@ -49,6 +52,7 @@ __all__ = [
     "ROUTE_DICTIONARY",
     "ROUTE_SEED",
     "ROUTE_SUFFIX",
+    "SeedHit",
     "SeedLexicon",
     "SeedPair",
     "TransportError",
@@ -56,11 +60,13 @@ __all__ = [
     "classify_with_provider",
     "combine",
     "count_gendered",
+    "count_hits",
     "default_lexicon",
     "evaluate",
     "evaluate_results",
     "grid_search",
     "load_gold",
+    "seed_hits",
     "seed_shortcut",
     "suffix_heuristic",
     "tokenize",

@@ -18,13 +18,17 @@ Pipeline for one target word:
 
 A word not found by a provider is retried once with punctuation and
 whitespace removed (grand-father -> grandfather).
+
+Counting works from seed hits: every token of a word's definitions that is
+a seed form, recorded once with its definition index, token index, pair
+index and gender. Counting at any (d, t, w) only filters those hits, so
+the grid search tokenizes each word's definitions once for all its cells.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .core import ClassifierParams, GenderLabel, SeedLexicon, default_lexicon
 from .providers.base import DefinitionSet, Provider
@@ -33,6 +37,10 @@ from .providers.base import DefinitionSet, Provider
 ROUTE_SEED = "seed_shortcut"
 ROUTE_SUFFIX = "suffix_heuristic"
 ROUTE_DICTIONARY = "dictionary"
+
+# Used when a caller passes no lexicon; never mutated, so one build serves
+# every call.
+_DEFAULT_LEXICON = default_lexicon()
 
 # Characters stripped from token edges. ASCII punctuation plus the curly
 # quotes and dashes common in dictionary prose.
@@ -48,6 +56,15 @@ class ProviderVerdict:
     masc_count: int = 0
     fem_count: int = 0
     definitions_used: int = 0
+
+
+class SeedHit(NamedTuple):
+    """One seed-form token in a word's definitions; all indexes count from 0."""
+
+    definition: int
+    token: int
+    pair: int
+    masculine: bool
 
 
 @dataclass(frozen=True)
@@ -98,27 +115,44 @@ def suffix_heuristic(word: str) -> GenderLabel | None:
     return None
 
 
-def count_gendered(
-    defs: DefinitionSet, params: ClassifierParams, lexicon: SeedLexicon
-) -> tuple[int, int]:
-    """(masculine, feminine) token counts over the truncated definition text.
+def seed_hits(definitions: Sequence[str], lexicon: SeedLexicon) -> tuple[SeedHit, ...]:
+    """Every token of ``definitions`` that is a seed form or seed plural, in text order.
 
-    Counts whole-token equality only, never substring containment: "female"
-    must not also count as "male".
+    Matches whole tokens only, never substrings: "female" is not also "male".
     """
-    fem_forms = lexicon.feminine_forms(params.w)
-    masc_forms = lexicon.masculine_forms(params.w)
+    index = lexicon.form_index
+    hits = []
+    for i, definition in enumerate(definitions):
+        for j, token in enumerate(tokenize(definition)):
+            found = index.get(token)
+            if found is not None:
+                hits.append(SeedHit(i, j, *found))
+    return tuple(hits)
+
+
+def count_hits(hits: Sequence[SeedHit], params: ClassifierParams) -> tuple[int, int]:
+    """(masculine, feminine) counts of the hits within the first d definitions,
+    the first t tokens of each and the first w seed pairs."""
+    d, t, w = params.d, params.t, params.w
     masc = fem = 0
-    for definition in defs.definitions[: params.d]:
-        for token in tokenize(definition)[: params.t]:
-            if token in masc_forms:
+    for definition, token, pair, masculine in hits:
+        if definition < d and token < t and pair < w:
+            if masculine:
                 masc += 1
-            elif token in fem_forms:
+            else:
                 fem += 1
     return masc, fem
 
 
-def _label_from_counts(masc: int, fem: int) -> GenderLabel:
+def count_gendered(
+    defs: DefinitionSet, params: ClassifierParams, lexicon: SeedLexicon
+) -> tuple[int, int]:
+    """(masculine, feminine) token counts over the truncated definition text."""
+    return count_hits(seed_hits(defs.definitions[: params.d], lexicon), params)
+
+
+def label_from_counts(masc: int, fem: int) -> GenderLabel:
+    """More masculine tokens: masc; more feminine: fem; equal (or none): neut."""
     if masc > fem:
         return GenderLabel.MASC
     if fem > masc:
@@ -136,7 +170,7 @@ def classify_with_provider(
     masc, fem = count_gendered(defs, params, lexicon)
     return ProviderVerdict(
         provider_id=provider.provider_id,
-        label=_label_from_counts(masc, fem),
+        label=label_from_counts(masc, fem),
         masc_count=masc,
         fem_count=fem,
         definitions_used=min(params.d, len(defs.definitions)),
@@ -152,17 +186,58 @@ def combine(labels: Sequence[GenderLabel]) -> GenderLabel:
     """
     if not labels:
         raise ValueError("combine requires at least one label")
-    votes = Counter(label for label in labels if label is not GenderLabel.NOT_FOUND)
+    votes = [label for label in labels if label is not GenderLabel.NOT_FOUND]
     if not votes:
         return GenderLabel.NOT_FOUND
-    top, top_count = votes.most_common(1)[0]
-    if top_count * 2 > sum(votes.values()):
-        return top
+    for label in set(votes):
+        if votes.count(label) * 2 > len(votes):
+            return label
     return GenderLabel.NEUT
 
 
 def _strip_punctuation(word: str) -> str:
     return "".join(ch for ch in word if ch.isalnum())
+
+
+T = TypeVar("T")
+
+
+def resolve(
+    word: str,
+    providers: Sequence[Provider],
+    lexicon: SeedLexicon,
+    attempt: Callable[[Provider, str], T | None],
+) -> tuple[str, str, GenderLabel | None, tuple[T | None, ...]]:
+    """Route choice and lookup for one target word: (normalized, route, label, outcomes).
+
+    The seed shortcut and then the suffix heuristic decide ``label`` with no
+    dictionary. Otherwise the route is the dictionary one: ``attempt(provider,
+    word)`` runs for every provider and returns None when the provider lacks
+    the word, which is then retried once with punctuation and whitespace
+    removed. ``outcomes`` holds one result per provider (empty off that route).
+    """
+    if not providers:
+        raise ValueError("classify requires at least one provider")
+    normalized = word.strip().lower()
+    if not normalized:
+        raise ValueError("classify requires a non-empty word")
+
+    label = seed_shortcut(normalized, lexicon)
+    if label is not None:
+        return normalized, ROUTE_SEED, label, ()
+    label = suffix_heuristic(normalized)
+    if label is not None:
+        return normalized, ROUTE_SUFFIX, label, ()
+
+    stripped = _strip_punctuation(normalized)
+    retry = stripped and stripped != normalized
+    outcomes = []
+    for provider in providers:
+        outcome = attempt(provider, normalized)
+        if outcome is None and retry:
+            outcome = attempt(provider, stripped)
+        outcomes.append(outcome)
+    return normalized, ROUTE_DICTIONARY, None, tuple(outcomes)
 
 
 def classify(
@@ -175,33 +250,18 @@ def classify(
     if params is None:
         params = ClassifierParams()
     if lexicon is None:
-        lexicon = default_lexicon()
-    if not providers:
-        raise ValueError("classify requires at least one provider")
-    normalized = word.strip().lower()
-    if not normalized:
-        raise ValueError("classify requires a non-empty word")
+        lexicon = _DEFAULT_LEXICON
 
-    label = seed_shortcut(normalized, lexicon)
+    def attempt(provider: Provider, candidate: str) -> ProviderVerdict | None:
+        verdict = classify_with_provider(provider, candidate, params, lexicon)
+        return None if verdict.label is GenderLabel.NOT_FOUND else verdict
+
+    normalized, route, label, outcomes = resolve(word, providers, lexicon, attempt)
     if label is not None:
-        return ClassificationResult(word, normalized, ROUTE_SEED, (), label)
-
-    label = suffix_heuristic(normalized)
-    if label is not None:
-        return ClassificationResult(word, normalized, ROUTE_SUFFIX, (), label)
-
-    stripped = _strip_punctuation(normalized)
-    verdicts = []
-    for provider in providers:
-        verdict = classify_with_provider(provider, normalized, params, lexicon)
-        if (
-            verdict.label is GenderLabel.NOT_FOUND
-            and stripped
-            and stripped != normalized
-        ):
-            retried = classify_with_provider(provider, stripped, params, lexicon)
-            if retried.label is not GenderLabel.NOT_FOUND:
-                verdict = retried
-        verdicts.append(verdict)
+        return ClassificationResult(word, normalized, route, (), label)
+    verdicts = tuple(
+        ProviderVerdict(provider.provider_id, GenderLabel.NOT_FOUND) if verdict is None else verdict
+        for provider, verdict in zip(providers, outcomes)
+    )
     combined = combine([v.label for v in verdicts])
-    return ClassificationResult(word, normalized, ROUTE_DICTIONARY, tuple(verdicts), combined)
+    return ClassificationResult(word, normalized, route, verdicts, combined)

@@ -91,6 +91,9 @@ class SeedLexicon:
 
     pairs: tuple[SeedPair, ...]
     plurals: dict[str, str] = field(repr=False)
+    #: Every seed form and seed plural -> (pair index, masculine?), built
+    #: once at construction; the forms and the shortcut are read from it.
+    form_index: dict[str, tuple[int, bool]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ranks = [p.rank for p in self.pairs]
@@ -104,6 +107,13 @@ class SeedLexicon:
                 raise ValueError(f"no plural entry for seed form {form!r}")
         if len(set(self.plurals.values())) != len(self.plurals):
             raise ValueError("plural map must be injective")
+        index: dict[str, tuple[int, bool]] = {}
+        for i, pair in enumerate(self.pairs):
+            for singular, masculine in ((pair.feminine, False), (pair.masculine, True)):
+                for form in (singular, self.plurals[singular]):
+                    if index.setdefault(form, (i, masculine)) != (i, masculine):
+                        raise ValueError(f"{form!r} is both a seed form and another seed's plural")
+        object.__setattr__(self, "form_index", index)
 
     def truncated(self, w: int) -> tuple[SeedPair, ...]:
         """First ``w`` pairs in rank order."""
@@ -111,15 +121,19 @@ class SeedLexicon:
             raise ValueError(f"w must be in 1..{len(self.pairs)}, got {w}")
         return self.pairs[:w]
 
+    def _forms(self, w: int, masculine: bool) -> frozenset[str]:
+        self.truncated(w)  # validates w
+        return frozenset(
+            form for form, (i, masc) in self.form_index.items() if i < w and masc is masculine
+        )
+
     def feminine_forms(self, w: int) -> frozenset[str]:
         """Feminine seed forms and their plurals for the first ``w`` pairs."""
-        singulars = [p.feminine for p in self.truncated(w)]
-        return frozenset(singulars) | frozenset(self.plurals[s] for s in singulars)
+        return self._forms(w, masculine=False)
 
     def masculine_forms(self, w: int) -> frozenset[str]:
         """Masculine seed forms and their plurals for the first ``w`` pairs."""
-        singulars = [p.masculine for p in self.truncated(w)]
-        return frozenset(singulars) | frozenset(self.plurals[s] for s in singulars)
+        return self._forms(w, masculine=True)
 
     def shortcut_label(self, word: str) -> GenderLabel | None:
         """Gender of ``word`` if it is itself a seed form or a seed plural.
@@ -128,12 +142,10 @@ class SeedLexicon:
         that literally is one of the definitively gendered words needs no
         dictionary at all.
         """
-        for pair in self.pairs:
-            if word in (pair.feminine, self.plurals[pair.feminine]):
-                return GenderLabel.FEM
-            if word in (pair.masculine, self.plurals[pair.masculine]):
-                return GenderLabel.MASC
-        return None
+        found = self.form_index.get(word)
+        if found is None:
+            return None
+        return GenderLabel.MASC if found[1] else GenderLabel.FEM
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .classifier import ROUTE_DICTIONARY, ClassificationResult, classify
+from .classifier import (
+    ROUTE_DICTIONARY,
+    ClassificationResult,
+    SeedHit,
+    classify,
+    combine,
+    count_hits,
+    label_from_counts,
+    resolve,
+    seed_hits,
+)
 from .core import (
     GOLD_LABELS,
     ClassifierParams,
@@ -29,7 +39,7 @@ from .core import (
     default_lexicon,
 )
 from .errors import DataFormatError
-from .providers.base import DefinitionSet, Provider
+from .providers.base import Provider
 
 GOLD_CATEGORIES = ("family", "misc", "occupation", "religion", "title")
 
@@ -267,21 +277,6 @@ def classify_gold(
     return results
 
 
-class _MemoizedProvider:
-    """In-memory lookup cache so grid cells don't re-read the source."""
-
-    def __init__(self, provider: Provider):
-        self.provider = provider
-        self.provider_id = provider.provider_id
-        self.deterministic = provider.deterministic
-        self._memo: dict[str, DefinitionSet | None] = {}
-
-    def lookup(self, word: str) -> DefinitionSet | None:
-        if word not in self._memo:
-            self._memo[word] = self.provider.lookup(word)
-        return self._memo[word]
-
-
 @dataclass(frozen=True)
 class GridSearchResult:
     best: ClassifierParams
@@ -302,6 +297,11 @@ def grid_search(
     Requires deterministic providers (snapshots or database files) so the
     search is reproducible; live providers are rejected. Ties are broken
     toward the lexicographically smallest (d, t, w).
+
+    Every distinct gold word is routed, looked up and tokenized once, before
+    the cells: its seed hits in each source answer every cell, which then
+    only filters hits, votes and scores. Each cell's accuracy equals
+    ``evaluate_results(classify_gold(gold, providers, cell), gold).accuracy``.
     """
     for provider in providers:
         if not provider.deterministic:
@@ -309,22 +309,51 @@ def grid_search(
                 f"grid search requires deterministic providers; "
                 f"{provider.provider_id!r} is live"
             )
+    cells = [
+        ClassifierParams(d=d, t=t, w=w)
+        for d in sorted(set(d_range))
+        for t in sorted(set(t_range))
+        for w in sorted(set(w_range))
+    ]
+    if not cells:
+        raise ValueError("empty grid: d, t and w ranges each need at least one value")
     if lexicon is None:
         lexicon = default_lexicon()
-    memoized = [_MemoizedProvider(p) for p in providers]
+
+    def attempt(provider: Provider, word: str) -> tuple[SeedHit, ...] | None:
+        found = provider.lookup(word)
+        return None if found is None else seed_hits(found.definitions, lexicon)
+
+    def vote(outcomes: tuple[tuple[SeedHit, ...] | None, ...], params: ClassifierParams) -> GenderLabel:
+        return combine(
+            [
+                GenderLabel.NOT_FOUND if hits is None else label_from_counts(*count_hits(hits, params))
+                for hits in outcomes
+            ]
+        )
+
+    fixed: dict[str, GenderLabel] = {}
+    counted: dict[str, tuple[tuple[SeedHit, ...] | None, ...]] = {}
+    for entry in gold:
+        if entry.word in fixed or entry.word in counted:
+            continue
+        _, _, label, outcomes = resolve(entry.word, providers, lexicon, attempt)
+        if label is None and not any(outcomes):
+            label = vote(outcomes, cells[0])  # no seed token in any source: alike in every cell
+        if label is None:
+            counted[entry.word] = outcomes
+        else:
+            fixed[entry.word] = label
+
     table: dict[tuple[int, int, int], float] = {}
-    best: ClassifierParams | None = None
+    best = cells[0]
     best_accuracy = -1.0
-    for d in sorted(set(d_range)):
-        for t in sorted(set(t_range)):
-            for w in sorted(set(w_range)):
-                params = ClassifierParams(d=d, t=t, w=w)
-                results = classify_gold(gold, memoized, params, lexicon)
-                accuracy = _score(
-                    {word: res.combined for word, res in results.items()}, gold
-                ).accuracy
-                table[(d, t, w)] = accuracy
-                if accuracy > best_accuracy:
-                    best, best_accuracy = params, accuracy
-    assert best is not None, "empty grid"
+    for params in cells:
+        predictions = dict(fixed)
+        for word, outcomes in counted.items():
+            predictions[word] = vote(outcomes, params)
+        accuracy = _score(predictions, gold).accuracy
+        table[(params.d, params.t, params.w)] = accuracy
+        if accuracy > best_accuracy:
+            best, best_accuracy = params, accuracy
     return GridSearchResult(best=best, best_accuracy=best_accuracy, table=table)

@@ -43,21 +43,34 @@ class SnapshotProvider:
                 data = json.load(fh)
             self.provider_id = data["provider"]
             self.captured_at = data.get("captured_at", "")
-            self._entries = data["entries"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            entries = data["entries"].items()
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise DataFormatError(f"bad snapshot file {self.path}: {exc}") from exc
+        # word -> definitions, or None for a word recorded as not found
+        self._entries: dict[str, tuple[str, ...] | None] = {}
+        for word, entry in entries:
+            try:
+                found = entry["found"]
+                definitions = entry["definitions"]
+                "".join(definitions)  # TypeError unless every item is a str
+            except (KeyError, TypeError):
+                found = definitions = None
+            if type(found) is not bool or type(definitions) is not list:
+                raise DataFormatError(
+                    f"bad snapshot file {self.path}: entry {word!r} needs a boolean "
+                    f'"found" and a list of strings as "definitions"'
+                )
+            self._entries[word] = tuple(definitions) if found else None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, word: str) -> DefinitionSet | None:
         check_word(word)
-        entry = self._entries.get(word)
-        if entry is None or not entry["found"]:
+        definitions = self._entries.get(word)
+        if definitions is None:
             return None
-        return DefinitionSet(
-            word=word, provider_id=self.provider_id, definitions=tuple(entry["definitions"])
-        )
+        return DefinitionSet(word=word, provider_id=self.provider_id, definitions=definitions)
 
 
 def snapshot_write(provider: Provider, words: Iterable[str], path: str | Path) -> dict:

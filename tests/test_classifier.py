@@ -13,6 +13,8 @@ from lexgender.classifier import (
     classify_with_provider,
     combine,
     count_gendered,
+    count_hits,
+    seed_hits,
     seed_shortcut,
     suffix_heuristic,
     tokenize,
@@ -255,6 +257,24 @@ def test_count_matches_naive_oracle_randomized():
         params = ClassifierParams(d=rng.randint(1, 10), t=rng.randint(1, 40), w=rng.randint(1, 8))
         expected = _oracle_count(definition_set.definitions, params.d, params.t, params.w, LEXICON)
         assert count_gendered(definition_set, params, LEXICON) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    definitions=st.lists(
+        st.lists(st.one_of(st.sampled_from(VOCAB), st.text(max_size=6)), max_size=45).map(" ".join),
+        max_size=10,
+    ),
+    d=st.integers(1, 12),
+    t=st.integers(1, 50),
+    w=st.integers(1, 8),
+)
+def test_hit_counts_match_naive_oracle(definitions, d, t, w):
+    params = ClassifierParams(d=d, t=t, w=w)
+    expected = _oracle_count(definitions, d, t, w, LEXICON)
+    assert count_gendered(defs(*definitions), params, LEXICON) == expected
+    # as the grid search counts: hits of every definition, filtered per cell
+    assert count_hits(seed_hits(definitions, LEXICON), params) == expected
 
 
 def test_count_truncation_monotonic_randomized():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -149,6 +150,33 @@ def test_grid_search_cli(capsys, tests_data):
     assert len(out.strip().splitlines()) == 10
 
 
+def test_grid_search_empty_range_exits_1(capsys):
+    code, out, err = run(capsys, "grid-search", "--d-range", "3..2")
+    assert code == 1
+    assert "empty grid" in err
+    assert "Traceback" not in err and not out
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["evaluate", "--format", "json"],
+            "c7f6d94ada5eec61ae1ac03842086a3804aa51bd969bedb7c22116d8daddd91a",
+        ),
+        (
+            ["grid-search", "--format", "json"],
+            "d87e86d032fcb3910695028facd720c14957f5ae0790e84ac74b7a47d2ecd116",
+        ),
+    ],
+)
+def test_golden_json_on_bundled_data(capsys, argv, sha256):
+    # refactor gate: byte-identical reports, grid rows in (d, t, w) order
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 def test_corpus_report_cli(capsys, tmp_path):
     tagged = tmp_path / "toy.tsv"
     tagged.write_text("the\tDT\nnun\tNN\n\nthe\tDT\nmonk\tNN\n\ntables\tNNS\n")
@@ -202,6 +230,15 @@ def test_snapshot_cli_explicit_words_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     assert "fem" in out
+
+
+def test_malformed_snapshot_exits_3(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"provider": "x", "entries": {"nun": {"definitions": []}}}))
+    code, out, err = run(capsys, "classify", "nun", "--snapshot", str(bad))
+    assert code == 3
+    assert "bad data" in err and "'nun'" in err
+    assert not out
 
 
 def test_transport_error_exit_code(capsys, tmp_path, monkeypatch):

@@ -107,6 +107,14 @@ def test_lexicon_rejects_missing_plural():
         SeedLexicon(pairs=(SeedPair(1, "woman", "man"),), plurals={"woman": "women"})
 
 
+def test_lexicon_rejects_plural_equal_to_another_seed_form():
+    # "men" as man's plural and as a seed form of its own would be counted twice
+    pairs = (SeedPair(1, "woman", "man"), SeedPair(2, "lady", "men"))
+    plurals = {"woman": "women", "man": "men", "lady": "ladies", "men": "mens"}
+    with pytest.raises(ValueError, match="'men'"):
+        SeedLexicon(pairs=pairs, plurals=plurals)
+
+
 @given(st.integers(min_value=1, max_value=8))
 def test_form_sets_grow_with_w(w):
     lexicon = default_lexicon()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexgender.classifier import classify
 from lexgender.core import ClassifierParams, GenderLabel, default_lexicon
@@ -15,6 +17,7 @@ from lexgender.evaluation import (
     provider_predictions,
 )
 from lexgender.providers import SnapshotProvider
+from lexgender.providers.base import DefinitionSet
 
 MASC, FEM, NEUT, NF = (
     GenderLabel.MASC,
@@ -277,3 +280,106 @@ def test_grid_search_tie_break_lexicographic():
     gold = [GoldEntry("missing", NEUT, "misc")]
     result = grid_search(gold, providers, d_range=[3, 2], t_range=[10, 5], w_range=[4, 2])
     assert (result.best.d, result.best.t, result.best.w) == (2, 5, 2)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        {"d_range": []},
+        {"t_range": range(10, 5)},
+        {"w_range": ()},
+    ],
+)
+def test_grid_search_empty_range_rejected_before_lookup(ranges):
+    class Recording:
+        provider_id = "p"
+        deterministic = True
+
+        def __init__(self):
+            self.lookups = []
+
+        def lookup(self, word):
+            self.lookups.append(word)
+            return None
+
+    provider = Recording()
+    gold = [GoldEntry("nurse", NEUT, "occupation")]
+    with pytest.raises(ValueError, match="empty grid"):
+        grid_search(gold, [provider], **ranges)
+    assert provider.lookups == []
+
+
+class TableProvider:
+    """Snapshot-like in-memory source: word -> list of definitions."""
+
+    deterministic = True
+
+    def __init__(self, provider_id, table):
+        self.provider_id = provider_id
+        self.table = table
+
+    def lookup(self, word):
+        if word not in self.table:
+            return None
+        return DefinitionSet(word, self.provider_id, tuple(self.table[word]))
+
+
+# Gold words by the route they take; each drawn gold list has one of each.
+ROUTE_WORDS = (
+    ("woman", "men", "wives", "uncle", "girls"),  # seed forms and plurals
+    ("chairman", "policewoman", "cowgirl", "busboy"),  # suffix heuristic
+    ("human", "superhuman"),  # the -human exception: dictionary route
+    ("grand-father", "step-mother", "half sister"),  # found after the strip
+    ("nurse", "monk", "crew", "widow"),  # plain dictionary words
+    ("onlyalpha",),  # missing from one source
+    ("qzxv",),  # missing from every source
+)
+TABLE_KEYS = (
+    "woman", "chairman", "human", "superhuman", "grandfather", "stepmother",
+    "halfsister", "grand-father", "nurse", "monk", "crew", "widow",
+)
+GRID_VOCAB = (
+    "a the of person who man woman men women male female wife husbands son "
+    "mother fathers girl boy sister brothers aunt uncles (man) “women” royal"
+).split()
+
+definitions_st = st.lists(
+    st.lists(st.sampled_from(GRID_VOCAB), max_size=14).map(" ".join), max_size=5
+)
+table_st = st.dictionaries(st.sampled_from(TABLE_KEYS), definitions_st)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    must=st.tuples(*(st.sampled_from(words) for words in ROUTE_WORDS)),
+    extra=st.lists(st.sampled_from([w for words in ROUTE_WORDS for w in words]), max_size=6),
+    labels=st.lists(st.sampled_from([MASC, FEM, NEUT]), min_size=24, max_size=24),
+    alpha=table_st,
+    beta=table_st,
+    only_alpha=definitions_st,
+    d_range=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    t_range=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    w_range=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+)
+def test_grid_cells_match_classify_and_evaluate(
+    must, extra, labels, alpha, beta, only_alpha, d_range, t_range, w_range
+):
+    words = list(must) + extra
+    label_of = dict(zip(dict.fromkeys(words), labels))
+    gold = [GoldEntry(word, label_of[word], "misc") for word in words]
+    providers = [
+        TableProvider("alpha", {**alpha, "onlyalpha": only_alpha}),
+        TableProvider("beta", beta),
+    ]
+    result = grid_search(gold, providers, d_range=d_range, t_range=t_range, w_range=w_range)
+    cells = sorted(result.table)
+    assert cells == sorted(
+        {(d, t, w) for d in d_range for t in t_range for w in w_range}
+    )
+    for cell in cells:
+        params = ClassifierParams(*cell)
+        expected = evaluate_results(classify_gold(gold, providers, params), gold).accuracy
+        assert result.table[cell] == expected, cell
+    best = max(cells, key=lambda cell: (result.table[cell], [-v for v in cell]))
+    assert (result.best.d, result.best.t, result.best.w) == best
+    assert result.best_accuracy == result.table[best]

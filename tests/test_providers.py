@@ -348,6 +348,41 @@ def test_snapshot_bad_file_rejected(tmp_path):
     bad.write_text("not json")
     with pytest.raises(DataFormatError):
         SnapshotProvider(bad)
+    bad.write_text('{"provider": "x", "entries": []}')
+    with pytest.raises(DataFormatError):
+        SnapshotProvider(bad)
+
+
+def _snapshot_file(tmp_path, entry):
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({"provider": "x", "entries": {"nun": entry}}))
+    return path
+
+
+def test_snapshot_entry_without_found_rejected(tmp_path):
+    with pytest.raises(DataFormatError, match="'nun'"):
+        SnapshotProvider(_snapshot_file(tmp_path, {"definitions": ["a woman"]}))
+
+
+def test_snapshot_definitions_string_rejected(tmp_path):
+    # a bare string would otherwise be split into one-character definitions
+    with pytest.raises(DataFormatError, match="'nun'"):
+        SnapshotProvider(_snapshot_file(tmp_path, {"found": True, "definitions": "a man"}))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        None,
+        ["a woman"],
+        {"found": "yes", "definitions": []},
+        {"found": True},
+        {"found": True, "definitions": ["a woman", 3]},
+    ],
+)
+def test_snapshot_malformed_entries_rejected(tmp_path, entry):
+    with pytest.raises(DataFormatError):
+        SnapshotProvider(_snapshot_file(tmp_path, entry))
 
 
 def test_bundled_snapshots_cover_gold(bundled_providers, gold):
