@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import data as bundled
@@ -179,6 +178,8 @@ def _print_results(results: list[ClassificationResult], fmt: str) -> None:
 def _classify_words(words: list[str], providers, params, jobs: int) -> list[ClassificationResult]:
     lexicon = default_lexicon()
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(lambda w: classify(w, providers, params, lexicon), words))
     return [classify(word, providers, params, lexicon) for word in words]

@@ -14,13 +14,11 @@ Bundled content:
   pipeline end to end
 """
 
-from importlib.resources import files
 from pathlib import Path
 
 
 def data_path(*parts: str) -> Path:
-    path = files(__package__).joinpath(*parts)
-    return Path(str(path))
+    return Path(__file__).parent.joinpath(*parts)
 
 
 def gold_path() -> Path:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
+from ..errors import DataFormatError
+
 
 @dataclass(frozen=True)
 class DefinitionSet:
@@ -46,3 +48,24 @@ def check_word(word: str) -> str:
     if not word or word != word.strip() or word != word.lower():
         raise ValueError(f"lookup expects a non-empty trimmed lowercase word, got {word!r}")
     return word
+
+
+def entry_definitions(entry: object, source: str, word: str) -> tuple[str, ...] | None:
+    """Definitions of one stored entry, or None for a word recorded as not found.
+
+    Snapshot entries and live-cache files share this schema: a JSON object
+    with a boolean ``found`` and a list of strings as ``definitions``.
+    Anything else raises DataFormatError naming ``source`` and ``word``.
+    """
+    try:
+        found = entry["found"]
+        definitions = entry["definitions"]
+        "".join(definitions)  # TypeError unless every item is a str
+    except (KeyError, TypeError):
+        found = definitions = None
+    if type(found) is not bool or type(definitions) is not list:
+        raise DataFormatError(
+            f'{source}: entry {word!r} needs a boolean "found" '
+            f'and a list of strings as "definitions"'
+        )
+    return tuple(definitions) if found else None

@@ -17,12 +17,14 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from ..errors import DataFormatError, TransportError
-from .base import DefinitionSet, check_word
+from .base import DefinitionSet, check_word, entry_definitions
 from .htmlextract import extract_definitions_html
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,12 @@ def write_entry_atomic(path: Path, entry: dict) -> None:
         raise
 
 
-def read_entry(path: Path) -> dict | None:
-    if not path.exists():
-        return None
+def read_entry(path: Path) -> object:
+    """The parsed JSON of the cache file at ``path``; its schema is checked by the caller."""
     try:
         with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        if not isinstance(entry.get("found"), bool):
-            raise ValueError("missing 'found' flag")
-        return entry
-    except (json.JSONDecodeError, ValueError) as exc:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
         raise DataFormatError(f"corrupt cache entry {path}: {exc}") from exc
 
 
@@ -98,7 +96,11 @@ class CachedHttpProvider:
         self.cache_root = Path(cache_root)
         self.min_request_interval = min_request_interval
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests  # only live sources need it; offline runs never load it
+
+            session = requests.Session()
+        self.session = session
         self.request_count = 0
         self._lock = threading.Lock()
         self._last_request = 0.0
@@ -106,17 +108,19 @@ class CachedHttpProvider:
     def lookup(self, word: str) -> DefinitionSet | None:
         check_word(word)
         path = cache_file(self.cache_root, self.provider_id, word)
-        entry = read_entry(path)
-        if entry is None:
+        if path.exists():
+            entry = read_entry(path)
+        else:
             entry = self._fetch(word)
             write_entry_atomic(path, entry)
-        if not entry["found"]:
+        definitions = entry_definitions(entry, f"corrupt cache entry {path}", word)
+        if definitions is None:
             return None
-        return DefinitionSet(
-            word=word, provider_id=self.provider_id, definitions=tuple(entry["definitions"])
-        )
+        return DefinitionSet(word=word, provider_id=self.provider_id, definitions=definitions)
 
     def _fetch(self, word: str) -> dict:
+        import requests
+
         url = self.site.url_template.format(word=urllib.parse.quote(word, safe=""))
         with self._lock:
             wait = self._last_request + self.min_request_interval - time.monotonic()

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..errors import DataFormatError
-from .base import DefinitionSet, Provider, check_word
+from .base import DefinitionSet, Provider, check_word, entry_definitions
 
 
 class SnapshotProvider:
@@ -48,19 +48,9 @@ class SnapshotProvider:
             raise DataFormatError(f"bad snapshot file {self.path}: {exc}") from exc
         # word -> definitions, or None for a word recorded as not found
         self._entries: dict[str, tuple[str, ...] | None] = {}
+        source = f"bad snapshot file {self.path}"
         for word, entry in entries:
-            try:
-                found = entry["found"]
-                definitions = entry["definitions"]
-                "".join(definitions)  # TypeError unless every item is a str
-            except (KeyError, TypeError):
-                found = definitions = None
-            if type(found) is not bool or type(definitions) is not list:
-                raise DataFormatError(
-                    f"bad snapshot file {self.path}: entry {word!r} needs a boolean "
-                    f'"found" and a list of strings as "definitions"'
-                )
-            self._entries[word] = tuple(definitions) if found else None
+            self._entries[word] = entry_definitions(entry, source, word)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -44,7 +44,10 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
                 raise DataFormatError(f"{path.name}:{lineno}: malformed synset record")
             if fields[2] != "n":
                 raise DataFormatError(f"{path.name}:{lineno}: not a noun synset ({fields[2]!r})")
-            glosses[int(fields[0])] = gloss.strip().rstrip(";").strip()
+            offset = int(fields[0])
+            if offset in glosses:
+                raise DataFormatError(f"{path.name}:{lineno}: duplicate synset offset {offset}")
+            glosses[offset] = gloss.strip().rstrip(";").strip()
     return glosses
 
 
@@ -70,6 +73,8 @@ def _parse_index_noun(path: Path) -> dict[str, tuple[int, ...]]:
                     raise ValueError("missing synset offsets")
             except (IndexError, ValueError) as exc:
                 raise DataFormatError(f"{path.name}:{lineno}: {exc}") from exc
+            if lemma in index:
+                raise DataFormatError(f"{path.name}:{lineno}: duplicate lemma {lemma!r}")
             index[lemma] = offsets
     return index
 

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
 
 from lexgender.cli import main
 from lexgender.data import gold_path, wndb_dir
+from lexgender.providers import cache_file
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -78,6 +85,34 @@ def test_offline_never_touches_network(capsys, monkeypatch):
     monkeypatch.setattr(requests.Session, "request", explode)
     code, out, _ = run(capsys, "classify", "--offline", "nun", "qzxv", "grand-father")
     assert code == 0
+
+
+LIVE_ONLY_MODULES = ("requests", "urllib3", "concurrent.futures")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import lexgender",
+        "import lexgender.cli",
+        "import contextlib, io, lexgender.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert lexgender.cli.main(['evaluate', '--format', 'json']) == 0",
+    ],
+    ids=["import-lexgender", "import-cli", "cli-evaluate"],
+)
+def test_offline_start_imports_no_live_only_module(code):
+    # requests and the thread pool cost about half of an offline CLI run's start-up
+    probe = f"{code}\nimport sys\nprint([m for m in {LIVE_ONLY_MODULES!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_evaluate_bundled_gold(capsys):
@@ -256,6 +291,22 @@ def test_transport_error_exit_code(capsys, tmp_path, monkeypatch):
     )
     assert code == 2
     assert "transport error" in err
+
+
+def test_live_corrupt_cache_exits_3(capsys, tmp_path, monkeypatch):
+    def explode(*args, **kwargs):
+        raise AssertionError("a corrupt cache entry must not be refetched")
+
+    monkeypatch.setattr(requests.Session, "get", explode)
+    path = cache_file(tmp_path, "merriam_webster", "nun")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"found": True, "definitions": "a woman"}))
+    code, out, err = run(
+        capsys, "classify", "--live", "merriam_webster", "--cache-root", str(tmp_path), "nun"
+    )
+    assert code == 3
+    assert "bad data" in err and "'nun'" in err
+    assert not out
 
 
 def test_unknown_subcommand_usage_error(capsys):

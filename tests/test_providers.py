@@ -92,6 +92,26 @@ def test_wndb_malformed_record_reports_line(tmp_path):
         load_noun_index(tmp_path)
 
 
+def test_wndb_duplicate_synset_offset_reports_line(tmp_path):
+    (tmp_path / "data.noun").write_text(
+        "00000001 18 n 01 apple 0 000 | a fruit\n00000001 18 n 01 pear 0 000 | another fruit\n"
+    )
+    (tmp_path / "index.noun").write_text("apple n 1 0 1 0 00000001\n")
+    with pytest.raises(DataFormatError, match="data.noun:2: duplicate synset offset 1"):
+        load_noun_index(tmp_path)
+
+
+def test_wndb_duplicate_lemma_reports_line(tmp_path):
+    (tmp_path / "data.noun").write_text(
+        "00000001 18 n 01 apple 0 000 | a fruit\n00000002 18 n 01 apple 0 000 | a tree\n"
+    )
+    (tmp_path / "index.noun").write_text(
+        "apple n 1 0 1 0 00000001\napple n 1 0 1 0 00000002\n"
+    )
+    with pytest.raises(DataFormatError, match="index.noun:2: duplicate lemma 'apple'"):
+        load_noun_index(tmp_path)
+
+
 def test_wndb_missing_gloss_separator(tmp_path):
     (tmp_path / "data.noun").write_text("00000001 18 n 01 apple 0 001 @ 00000001 n 0000\n")
     (tmp_path / "index.noun").write_text("apple n 1 1 @ 1 0 00000001\n")
@@ -370,19 +390,33 @@ def test_snapshot_definitions_string_rejected(tmp_path):
         SnapshotProvider(_snapshot_file(tmp_path, {"found": True, "definitions": "a man"}))
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        None,
-        ["a woman"],
-        {"found": "yes", "definitions": []},
-        {"found": True},
-        {"found": True, "definitions": ["a woman", 3]},
-    ],
-)
+MALFORMED_ENTRIES = [
+    None,
+    ["a woman"],
+    {"found": "yes", "definitions": []},
+    {"found": True},
+    {"found": True, "definitions": ["a woman", 3]},
+    [],
+    {"found": True, "definitions": "a woman"},
+    {"found": True, "definitions": [1, 2]},
+]
+
+
+@pytest.mark.parametrize("entry", MALFORMED_ENTRIES)
 def test_snapshot_malformed_entries_rejected(tmp_path, entry):
     with pytest.raises(DataFormatError):
         SnapshotProvider(_snapshot_file(tmp_path, entry))
+
+
+@pytest.mark.parametrize("entry", MALFORMED_ENTRIES)
+def test_cache_malformed_entries_rejected(tmp_path, entry):
+    path = cache_file(tmp_path, "merriam_webster", "nun")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(entry))
+    session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
+    with pytest.raises(DataFormatError, match="'nun'"):
+        _live(tmp_path, session).lookup("nun")
+    assert session.calls == 0  # a corrupt entry is reported, never silently refetched
 
 
 def test_bundled_snapshots_cover_gold(bundled_providers, gold):
