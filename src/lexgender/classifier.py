@@ -28,6 +28,7 @@ the grid search tokenizes each word's definitions once for all its cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .core import ClassifierParams, GenderLabel, SeedLexicon, default_lexicon
@@ -160,13 +161,19 @@ def label_from_counts(masc: int, fem: int) -> GenderLabel:
     return GenderLabel.NEUT
 
 
+@cache
+def _not_found(provider_id: str) -> ProviderVerdict:
+    """The not_found verdict of one provider; immutable, so one serves every word."""
+    return ProviderVerdict(provider_id, GenderLabel.NOT_FOUND)
+
+
 def classify_with_provider(
     provider: Provider, word: str, params: ClassifierParams, lexicon: SeedLexicon
 ) -> ProviderVerdict:
     """Look up, count, threshold: one dictionary's verdict for one word."""
     defs = provider.lookup(word)
     if defs is None:
-        return ProviderVerdict(provider.provider_id, GenderLabel.NOT_FOUND)
+        return _not_found(provider.provider_id)
     masc, fem = count_gendered(defs, params, lexicon)
     return ProviderVerdict(
         provider_id=provider.provider_id,
@@ -196,7 +203,9 @@ def combine(labels: Sequence[GenderLabel]) -> GenderLabel:
 
 
 def _strip_punctuation(word: str) -> str:
-    return "".join(ch for ch in word if ch.isalnum())
+    if word.isalnum():
+        return word
+    return "".join([ch for ch in word if ch.isalnum()])
 
 
 T = TypeVar("T")
@@ -259,9 +268,9 @@ def classify(
     normalized, route, label, outcomes = resolve(word, providers, lexicon, attempt)
     if label is not None:
         return ClassificationResult(word, normalized, route, (), label)
-    verdicts = tuple(
-        ProviderVerdict(provider.provider_id, GenderLabel.NOT_FOUND) if verdict is None else verdict
+    verdicts = tuple([
+        _not_found(provider.provider_id) if verdict is None else verdict
         for provider, verdict in zip(providers, outcomes)
-    )
+    ])
     combined = combine([v.label for v in verdicts])
     return ClassificationResult(word, normalized, route, verdicts, combined)

@@ -26,7 +26,7 @@ from .core import (
     default_lexicon,
 )
 from .corpus import composition_report, classify_inventory, gendered_sample, ingest_tagged
-from .errors import DataFormatError, TransportError
+from .errors import DataFormatError, TransportError, open_utf8
 from .evaluation import classify_gold, evaluate_results, grid_search, load_gold
 from .providers import (
     CachedHttpProvider,
@@ -188,7 +188,7 @@ def _classify_words(words: list[str], providers, params, jobs: int) -> list[Clas
 def _words_from_file(path: str) -> list[str]:
     """Words from a plain list or from the first column of a gold-style TSV."""
     words = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -301,18 +301,18 @@ def _cmd_grid_search(args, parser: _Parser) -> int:
 
 def _cmd_corpus_report(args, parser: _Parser) -> int:
     providers = _build_providers(args, parser)
-    with open(args.tagged, encoding="utf-8") as fh:
+    with open_utf8(args.tagged) as fh:
         records = ingest_tagged(fh)
     results = classify_inventory(records, providers, _params(args))
     report = composition_report(results, records)
+    sample = gendered_sample(results) if args.format == "json" or args.sample_out else None
     if args.format == "json":
         payload = report.to_dict()
-        payload["gendered_sample"] = gendered_sample(results)
+        payload["gendered_sample"] = sample
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(report.as_table())
     if args.sample_out:
-        sample = gendered_sample(results)
         Path(args.sample_out).write_text("\n".join(sample) + "\n", encoding="utf-8")
         print(f"wrote {len(sample)} gendered nouns to {args.sample_out}", file=sys.stderr)
     return EXIT_OK

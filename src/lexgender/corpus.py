@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .classifier import ClassificationResult, ROUTE_DICTIONARY, classify
@@ -18,6 +19,10 @@ from .core import ClassifierParams, GenderLabel, SeedLexicon
 from .errors import DataFormatError, TransportError
 
 NOUN_TAGS = ("NN", "NNS")
+
+# Lines read and counted per batch by ingest_tagged; one batch is held in
+# memory at a time.
+_BATCH_LINES = 16384
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,9 @@ def _clean_surface(token: str) -> str | None:
     tagging or cleaning artifacts and are dropped.
     """
     surface = token.lower()
-    if not surface:
+    letters = surface.replace("-", "").replace("'", "")
+    if not surface or (letters and not letters.isalpha()):
         return None
-    for ch in surface:
-        if not (ch.isalpha() or ch in "-'"):
-            return None
     return surface
 
 
@@ -73,31 +76,61 @@ class InventoryAborted(TransportError):
         self.partial = partial
 
 
+def _noun_key(line: str) -> tuple[str, str] | None:
+    """The (surface, POS) one tagged line counts toward, or None if it counts toward none.
+
+    Raises ValueError for a line that is neither blank nor token<TAB>POS.
+    """
+    line = line.rstrip("\n")
+    if not line.strip():
+        return None
+    fields = line.split("\t")
+    if len(fields) != 2 or not fields[0] or not fields[1]:
+        raise ValueError(f"expected token<TAB>POS, got {line!r}")
+    token, pos = fields
+    if pos not in NOUN_TAGS:
+        return None
+    surface = _clean_surface(token)
+    return None if surface is None else (surface, pos)
+
+
+def _noun_counts(lines: Iterable[str]) -> dict[tuple[str, str], int]:
+    """Frequency per (surface, POS), splitting and checking each distinct line once.
+
+    Identical lines are counted in C, one batch at a time; the batch and
+    the distinct lines are all that is held in memory.
+    """
+    line_counts: Counter[str] = Counter()
+    keys: list[tuple[str, str] | None] = []  # one per line_counts entry, same order
+    lines = iter(lines)
+    batch_start = 0
+    while batch := list(islice(lines, _BATCH_LINES)):
+        seen = len(line_counts)
+        line_counts.update(batch)  # a new line is appended at its first occurrence
+        for line in islice(line_counts, seen, None):
+            try:
+                keys.append(_noun_key(line))
+            except ValueError as exc:
+                lineno = batch_start + batch.index(line) + 1
+                raise DataFormatError(f"line {lineno}: {exc}") from None
+        batch_start += len(batch)
+    counts: dict[tuple[str, str], int] = {}
+    for key, frequency in zip(keys, line_counts.values()):
+        if key is not None:
+            counts[key] = counts.get(key, 0) + frequency
+    return counts
+
+
 def ingest_tagged(lines: Iterable[str]) -> list[NounRecord]:
-    """NN/NNS records aggregated from token<TAB>POS lines.
+    """NN/NNS records aggregated from token<TAB>POS lines, sorted.
 
     Blank lines are sentence breaks. Rows with other POS tags are skipped;
-    noun rows whose token has disallowed characters are dropped.
+    noun rows whose token has disallowed characters are dropped. A
+    malformed line raises DataFormatError naming the first one by line
+    number.
     """
-    counts: Counter[tuple[str, str]] = Counter()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise DataFormatError(f"line {lineno}: expected token<TAB>POS, got {line!r}")
-        token, pos = fields
-        if pos not in NOUN_TAGS:
-            continue
-        surface = _clean_surface(token)
-        if surface is None:
-            continue
-        counts[(surface, pos)] += 1
-    return [
-        NounRecord(surface, pos, frequency)
-        for (surface, pos), frequency in sorted(counts.items())
-    ]
+    counts = _noun_counts(lines)
+    return [NounRecord(surface, pos, counts[surface, pos]) for surface, pos in sorted(counts)]
 
 
 def classify_inventory(

@@ -38,7 +38,7 @@ from .core import (
     SeedLexicon,
     default_lexicon,
 )
-from .errors import DataFormatError
+from .errors import DataFormatError, open_utf8
 from .providers.base import Provider
 
 GOLD_CATEGORIES = ("family", "misc", "occupation", "religion", "title")
@@ -123,7 +123,7 @@ def load_gold(path: str | Path) -> list[GoldEntry]:
     """
     entries: list[GoldEntry] = []
     seen_labels: dict[str, GenderLabel] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

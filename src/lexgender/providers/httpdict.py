@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import DataFormatError, TransportError
+from ..errors import DataFormatError, TransportError, open_utf8
 from .base import DefinitionSet, check_word, entry_definitions
 from .htmlextract import extract_definitions_html
 
@@ -63,7 +63,7 @@ def write_entry_atomic(path: Path, entry: dict) -> None:
 def read_entry(path: Path) -> object:
     """The parsed JSON of the cache file at ``path``; its schema is checked by the caller."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"corrupt cache entry {path}: {exc}") from exc

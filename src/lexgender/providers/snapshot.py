@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from ..errors import DataFormatError
+from ..errors import DataFormatError, open_utf8
 from .base import DefinitionSet, Provider, check_word, entry_definitions
 
 
@@ -39,7 +39,7 @@ class SnapshotProvider:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         try:
-            with open(self.path, encoding="utf-8") as fh:
+            with open_utf8(self.path) as fh:
                 data = json.load(fh)
             self.provider_id = data["provider"]
             self.captured_at = data.get("captured_at", "")

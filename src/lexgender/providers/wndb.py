@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import DataFormatError
+from ..errors import DataFormatError, open_utf8
 from .base import DefinitionSet, check_word
 
 INDEX_FILE = "index.noun"
@@ -32,7 +32,7 @@ DATA_FILE = "data.noun"
 def _parse_data_noun(path: Path) -> dict[int, str]:
     """Map synset offset -> gloss text for every noun synset record."""
     glosses: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith(" ") or not line.strip():
                 continue
@@ -54,7 +54,7 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
 def _parse_index_noun(path: Path) -> dict[str, tuple[int, ...]]:
     """Map lemma -> synset offsets in sense order."""
     index: dict[str, tuple[int, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith(" ") or not line.strip():
                 continue

@@ -9,6 +9,7 @@ from lexgender.classifier import (
     ROUTE_DICTIONARY,
     ROUTE_SEED,
     ROUTE_SUFFIX,
+    _strip_punctuation,
     classify,
     classify_with_provider,
     combine,
@@ -90,6 +91,12 @@ def test_tokenize_properties(text):
         assert token  # no empties
         assert token[0] not in "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
         assert token[-1] not in "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from("-' ."), st.characters()), max_size=12))
+@settings(max_examples=300)
+def test_strip_punctuation_matches_naive(word):
+    assert _strip_punctuation(word) == "".join(ch for ch in word if ch.isalnum())
 
 
 # --- seed shortcut ----------------------------------------------------------

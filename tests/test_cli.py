@@ -9,7 +9,7 @@ import pytest
 import requests
 
 from lexgender.cli import main
-from lexgender.data import gold_path, wndb_dir
+from lexgender.data import gold_path, toy_corpus_path, wndb_dir
 from lexgender.providers import cache_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -203,6 +203,10 @@ def test_grid_search_empty_range_exits_1(capsys):
             ["grid-search", "--format", "json"],
             "d87e86d032fcb3910695028facd720c14957f5ae0790e84ac74b7a47d2ecd116",
         ),
+        (
+            ["corpus-report", str(toy_corpus_path()), "--format", "json"],
+            "0ccaa7852fb7acb387c8f6de48bcbd3c10590e0f21532c96920407b1a44039f0",
+        ),
     ],
 )
 def test_golden_json_on_bundled_data(capsys, argv, sha256):
@@ -233,6 +237,15 @@ def test_corpus_report_sample_out(capsys, tmp_path, toy_corpus_file):
     sample = out_path.read_text().split()
     assert "nun" in sample and "king" in sample
     assert "table" not in sample
+
+
+def test_corpus_report_undecodable_corpus_exits_3(capsys, tmp_path):
+    tagged = tmp_path / "bad.tsv"
+    tagged.write_bytes(b"the\tDT\ncaf\xe9\tNN\n")
+    code, out, err = run(capsys, "corpus-report", str(tagged))
+    assert code == 3
+    assert f"bad data: {tagged}: not UTF-8 text (byte 0xe9" in err
+    assert "Traceback" not in err and not out
 
 
 def test_snapshot_cli_gold_words(capsys, tmp_path):

@@ -1,13 +1,20 @@
 import io
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexgender import corpus
 from lexgender.classifier import classify
 from lexgender.core import GenderLabel
 from lexgender.corpus import (
+    NOUN_TAGS,
     InventoryAborted,
     NounRecord,
+    _clean_surface,
     classify_inventory,
     composition_report,
     gendered_sample,
@@ -46,8 +53,8 @@ def test_ingest_drops_special_characters():
 
 
 def test_ingest_keeps_hyphen_apostrophe():
-    records = ingest_tagged(lines("grand-father\tNN\no'clock\tNN\n"))
-    assert [r.surface for r in records] == ["grand-father", "o'clock"]
+    records = ingest_tagged(lines("grand-father\tNN\no'clock\tNN\n--\tNN\n"))
+    assert [r.surface for r in records] == ["--", "grand-father", "o'clock"]
 
 
 def test_ingest_lowercases():
@@ -85,6 +92,87 @@ def test_ingest_frequency_sum_equals_retained_lines():
             rows.append("")
     records = ingest_tagged(lines("\n".join(rows) + "\n"))
     assert sum(r.frequency for r in records) == retained
+
+
+def naive_clean_surface(token):
+    surface = token.lower()
+    if not surface:
+        return None
+    for ch in surface:
+        if not (ch.isalpha() or ch in "-'"):
+            return None
+    return surface
+
+
+def naive_ingest(lines):
+    """One pass of per-line work over every line: the oracle for ingest_tagged."""
+    counts = Counter()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise DataFormatError(f"line {lineno}: expected token<TAB>POS, got {line!r}")
+        token, pos = fields
+        if pos not in NOUN_TAGS:
+            continue
+        surface = naive_clean_surface(token)
+        if surface is None:
+            continue
+        counts[(surface, pos)] += 1
+    return [NounRecord(surface, pos, n) for (surface, pos), n in sorted(counts.items())]
+
+
+def ingest_outcome(ingest, rows):
+    try:
+        return ingest(rows)
+    except DataFormatError as exc:
+        return f"DataFormatError: {exc}"
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from("-'"), st.characters()), max_size=12))
+@settings(max_examples=300)
+def test_clean_surface_matches_naive(token):
+    assert _clean_surface(token) == naive_clean_surface(token)
+
+
+TOKENS = ["nun", "Nun", "kings", "grand-father", "o'clock", "--", "x9", "f@@", "café", "İd", ""]
+TAGS = ["NN", "NNS", "DT", "VB", "NN\r", ""]
+ROWS = st.one_of(
+    st.builds(
+        "{}\t{}".format,
+        st.one_of(st.sampled_from(TOKENS), st.text(max_size=4)),
+        st.one_of(st.sampled_from(TAGS), st.text(max_size=3)),
+    ),
+    st.sampled_from(["", " ", " \t ", "a b", "a\tb\tc", "\tNN", "nun\t"]),  # breaks, malformed
+).flatmap(lambda row: st.sampled_from([row, row + "\n"]))
+
+
+@given(
+    pool=st.lists(ROWS, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), max_size=60),
+    batch_lines=st.integers(1, 9),
+)
+@settings(max_examples=300, deadline=None)
+def test_ingest_matches_naive_oracle(pool, picks, batch_lines):
+    # rows repeat, so batches hold both lines first seen there and lines seen before
+    rows = [pool[i % len(pool)] for i in picks]
+    with mock.patch.object(corpus, "_BATCH_LINES", batch_lines):
+        assert ingest_outcome(ingest_tagged, rows) == ingest_outcome(naive_ingest, rows)
+
+
+def test_ingest_reports_malformed_line_past_the_first_batch():
+    batch = corpus._BATCH_LINES
+    rows = ["nun\tNN\n"] * (batch + 5) + ["nun NN\n"] + ["kings\tNNS\n"] * batch + ["nun NN\n"]
+    with pytest.raises(DataFormatError, match=rf"^line {batch + 6}: ") as excinfo:
+        ingest_tagged(rows)
+    assert f"DataFormatError: {excinfo.value}" == ingest_outcome(naive_ingest, rows)
+    good = rows[: batch + 5] + rows[batch + 6 : -1]
+    assert ingest_tagged(good) == naive_ingest(good) == [
+        NounRecord("kings", "NNS", batch),
+        NounRecord("nun", "NN", batch + 5),
+    ]
 
 
 # --- classify_inventory ---------------------------------------------------------

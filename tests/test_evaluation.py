@@ -57,12 +57,18 @@ def test_gold_empty_file(tmp_path):
         "waiter\tblue\toccupation",
         "Waiter\tmasc\toccupation",  # must be lowercase
         "waiter\tmasc\tsport",  # unknown category
+        b"caf\xe9\tneut\tobject",  # not UTF-8
     ],
 )
 def test_gold_malformed_rows(tmp_path, row):
     path = tmp_path / "gold.tsv"
-    path.write_text(row + "\n")
-    with pytest.raises(DataFormatError, match=r":1"):
+    if isinstance(row, bytes):
+        path.write_bytes(row + b"\n")
+        match = r"gold\.tsv: not UTF-8 text"
+    else:
+        path.write_text(row + "\n")
+        match = r":1"
+    with pytest.raises(DataFormatError, match=match):
         load_gold(path)
 
 

@@ -90,6 +90,10 @@ def test_wndb_malformed_record_reports_line(tmp_path):
     (tmp_path / "index.noun").write_text("apple n 1 1 @ 1 0 00000001\n")
     with pytest.raises(DataFormatError, match="data.noun:2"):
         load_noun_index(tmp_path)
+    (tmp_path / "data.noun").write_text("00000001 18 n 01 apple 0 001 @ 00000001 n 0000 | a fruit\n")
+    (tmp_path / "index.noun").write_bytes(b"apple n 1 1 @ 1 0 00000001\n\xff\n")
+    with pytest.raises(DataFormatError, match=r"index\.noun: not UTF-8 text \(byte 0xff"):
+        load_noun_index(tmp_path)
 
 
 def test_wndb_duplicate_synset_offset_reports_line(tmp_path):
@@ -371,6 +375,9 @@ def test_snapshot_bad_file_rejected(tmp_path):
     bad.write_text('{"provider": "x", "entries": []}')
     with pytest.raises(DataFormatError):
         SnapshotProvider(bad)
+    bad.write_bytes(b'{"provider": "x", "entries": {"caf\xe9": {"found": false, "definitions": []}}}')
+    with pytest.raises(DataFormatError, match=r"bad\.json: not UTF-8 text"):
+        SnapshotProvider(bad)
 
 
 def _snapshot_file(tmp_path, entry):
@@ -408,13 +415,23 @@ def test_snapshot_malformed_entries_rejected(tmp_path, entry):
         SnapshotProvider(_snapshot_file(tmp_path, entry))
 
 
-@pytest.mark.parametrize("entry", MALFORMED_ENTRIES)
+UNDECODABLE_ENTRY = b'{"found": true, "definitions": ["a nun\xff"]}'
+
+
+@pytest.mark.parametrize(
+    "entry", [*MALFORMED_ENTRIES, pytest.param(UNDECODABLE_ENTRY, id="undecodable")]
+)
 def test_cache_malformed_entries_rejected(tmp_path, entry):
     path = cache_file(tmp_path, "merriam_webster", "nun")
     path.parent.mkdir(parents=True)
-    path.write_text(json.dumps(entry))
+    if entry is UNDECODABLE_ENTRY:
+        path.write_bytes(entry)
+        match = r"nun\.json: not UTF-8 text"
+    else:
+        path.write_text(json.dumps(entry))
+        match = "'nun'"
     session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
-    with pytest.raises(DataFormatError, match="'nun'"):
+    with pytest.raises(DataFormatError, match=match):
         _live(tmp_path, session).lookup("nun")
     assert session.calls == 0  # a corrupt entry is reported, never silently refetched
 
