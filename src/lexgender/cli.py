@@ -302,7 +302,10 @@ def _cmd_grid_search(args, parser: _Parser) -> int:
 def _cmd_corpus_report(args, parser: _Parser) -> int:
     providers = _build_providers(args, parser)
     with open_utf8(args.tagged) as fh:
-        records = ingest_tagged(fh)
+        try:
+            records = ingest_tagged(fh)
+        except DataFormatError as exc:  # it names the line, not the file
+            raise DataFormatError(f"{args.tagged}: {exc}") from None
     results = classify_inventory(records, providers, _params(args))
     report = composition_report(results, records)
     sample = gendered_sample(results) if args.format == "json" or args.sample_out else None

@@ -10,8 +10,9 @@ kept).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from html import unescape
 
 from ..errors import TransportError
 
@@ -49,64 +50,24 @@ _VOID_TAGS = {
     "link", "meta", "param", "source", "track", "wbr",
 }
 
+# Tags are read the way the standard library's html.parser reads them:
+# quoted attribute values are skipped whole and a "/" ending an unquoted
+# value belongs to it. Attributes are matched once, never backtracked into,
+# so a tag that fails to close costs one scan. Groups: 1 an end tag's "/",
+# 2 the tag name, 4 a self-closing "/". <script>/<style> text runs to its end tag.
+_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
+_ATTRS = r"""(?=([^>=/]*(?:(?:/(?!>)|=+(?!=)\s*(?:"[^"]*"|'[^']*'|(?![\s"'])[^\s>=]*(?![^\s>=])))[^>=/]*)*))\3"""
+_TOKEN = re.compile(rf"<(?:!--.*?(?:-->|\Z)|(/)?({_NAME})(?(1)[^>]*|{_ATTRS}(/)?)>|[!?/][^>]*>)", re.S)
+_RAW_TEXT_END = {tag: re.compile(rf"</{tag}(?=[\s/>])|\Z", re.I) for tag in ("script", "style")}
+_ATTR = re.compile(r"""(?:\s|/(?!>))*((?<=['"\s/])[^\s/>][^\s/=>]*)(?:\s*=+\s*(?:'([^']*)'|"([^"]*)"|(?!['"])([^>\s]*)))?""")
 
-def _has_class(attrs: list[tuple[str, str | None]], wanted: str) -> bool:
-    for name, value in attrs:
-        if name == "class" and value and wanted in value.split():
-            return True
-    return False
 
-
-class _DefinitionCollector(HTMLParser):
-    """Collects the text of definition elements in page order."""
-
-    def __init__(self, rules: DialectRules):
-        super().__init__(convert_charrefs=True)
-        self.rules = rules
-        self.definitions: list[str] = []
-        self._depth = 0  # > 0 while inside a definition element
-        self._pos_pending = False
-        self._current_pos = "noun" if rules.pos_tag is None else ""
-        self._buf: list[str] = []
-
-    def handle_starttag(self, tag, attrs):
-        if tag in _VOID_TAGS:
-            if self._depth:  # a <br> inside a definition separates words
-                self._buf.append(" ")
-            return
-        rules = self.rules
-        if self._depth:
-            self._depth += 1
-            return
-        if tag == rules.definition_tag and _has_class(attrs, rules.definition_class):
-            if self._current_pos == "noun":
-                self._depth = 1
-                self._buf = []
-        elif rules.pos_tag and tag == rules.pos_tag and _has_class(attrs, rules.pos_class):
-            self._pos_pending = True
-            self._current_pos = ""
-
-    def handle_endtag(self, tag):
-        if tag in _VOID_TAGS:
-            return
-        if self._depth:
-            self._depth -= 1
-            if self._depth == 0:
-                text = " ".join("".join(self._buf).split())
-                for prefix in self.rules.strip_prefixes:
-                    if text.startswith(prefix):
-                        text = text[len(prefix):].lstrip()
-                        break
-                if text:
-                    self.definitions.append(text)
-        elif self._pos_pending:
-            self._pos_pending = False
-
-    def handle_data(self, data):
-        if self._depth:
-            self._buf.append(data)
-        elif self._pos_pending:
-            self._current_pos += data.strip().lower()
+def _has_class(html: str, start: int, end: int, wanted: str) -> bool:
+    """Whether a class attribute among the tag attributes in html[start:end] lists ``wanted``."""
+    return any(
+        attr[1].lower() == "class" and wanted in unescape(attr[2] or attr[3] or attr[4] or "").split()
+        for attr in _ATTR.finditer(html, start, end)
+    )
 
 
 def extract_definitions_html(html: str, dialect: str) -> list[str]:
@@ -122,10 +83,48 @@ def extract_definitions_html(html: str, dialect: str) -> list[str]:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {sorted(DIALECTS)}")
     if not html or not html.strip():
         raise TransportError("empty response where an entry page was expected")
-    collector = _DefinitionCollector(rules)
-    try:
-        collector.feed(html)
-        collector.close()
-    except Exception as exc:  # html.parser is lenient; be explicit if it isn't
-        raise TransportError(f"could not parse entry page: {exc}") from exc
-    return collector.definitions
+    definitions: list[str] = []
+    buf: list[str] = []  # text of the definition being read
+    depth, pos_pending = 0, False  # inside a definition (depth > 0), a part-of-speech label
+    current_pos = "noun" if rules.pos_tag is None else ""
+    pos, text_start, last_gt = 0, 0, html.rfind(">") + 1  # every token ends in ">"
+    while token := _TOKEN.search(html, pos, last_gt):
+        if depth or pos_pending:  # text is read only inside a definition or a label
+            text = html[text_start : token.start()]
+            if pos == text_start:  # else it is <script> or <style> text: no character references
+                text = unescape(text)
+            if depth:
+                buf.append(text)
+            else:  # a label is read one text run at a time
+                current_pos += text.strip().lower()
+        pos = text_start = token.end()
+        end_tag, name, _, self_closing = token.groups()
+        if name is None or (end_tag and not (depth or pos_pending)):
+            continue  # a comment, declaration or end tag that changes nothing
+        name = name.lower()
+        if name in _VOID_TAGS:
+            if depth and not end_tag:  # a <br> inside a definition separates words
+                buf.append(" ")
+            continue
+        if not end_tag:  # attributes are read only on candidate tags outside a definition
+            if depth:
+                depth += 1
+            elif name == rules.definition_tag and _has_class(html, token.end(2), pos, rules.definition_class):
+                if current_pos == "noun":
+                    depth, buf = 1, []
+            elif name == rules.pos_tag and _has_class(html, token.end(2), pos, rules.pos_class):
+                pos_pending, current_pos = True, ""
+            if name in _RAW_TEXT_END and not self_closing:
+                pos = _RAW_TEXT_END[name].search(html, pos).start()
+            if not self_closing:
+                continue
+        if depth:  # an end tag, or the end of a self-closing tag
+            depth -= 1
+            if depth == 0:
+                text = " ".join("".join(buf).split())
+                prefix = next((p for p in rules.strip_prefixes if text.startswith(p)), "")
+                if text := text[len(prefix):].lstrip():
+                    definitions.append(text)
+        else:
+            pos_pending = False
+    return definitions

@@ -142,6 +142,4 @@ class CachedHttpProvider:
                 f"{self.provider_id}: HTTP {response.status_code} for {word!r}"
             )
         definitions = extract_definitions_html(response.text, self.site.dialect)
-        if not definitions:
-            return {"found": False, "definitions": []}
-        return {"found": True, "definitions": definitions}
+        return {"found": bool(definitions), "definitions": definitions}

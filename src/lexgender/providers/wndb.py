@@ -40,7 +40,7 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
             if not sep:
                 raise DataFormatError(f"{path.name}:{lineno}: record has no gloss separator")
             fields = head.split()
-            if len(fields) < 4 or not fields[0].isdigit():
+            if len(fields) < 4 or not (fields[0].isascii() and fields[0].isdigit()):
                 raise DataFormatError(f"{path.name}:{lineno}: malformed synset record")
             if fields[2] != "n":
                 raise DataFormatError(f"{path.name}:{lineno}: not a noun synset ({fields[2]!r})")

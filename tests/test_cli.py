@@ -87,7 +87,7 @@ def test_offline_never_touches_network(capsys, monkeypatch):
     assert code == 0
 
 
-LIVE_ONLY_MODULES = ("requests", "urllib3", "concurrent.futures")
+LIVE_ONLY_MODULES = ("requests", "urllib3", "concurrent.futures", "html.parser", "_markupbase")
 
 
 @pytest.mark.parametrize(
@@ -102,7 +102,8 @@ LIVE_ONLY_MODULES = ("requests", "urllib3", "concurrent.futures")
     ids=["import-lexgender", "import-cli", "cli-evaluate"],
 )
 def test_offline_start_imports_no_live_only_module(code):
-    # requests and the thread pool cost about half of an offline CLI run's start-up
+    # requests and the thread pool cost about half of an offline CLI run's start-up;
+    # html.parser is needed by nothing in the package
     probe = f"{code}\nimport sys\nprint([m for m in {LIVE_ONLY_MODULES!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -245,6 +246,15 @@ def test_corpus_report_undecodable_corpus_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "corpus-report", str(tagged))
     assert code == 3
     assert f"bad data: {tagged}: not UTF-8 text (byte 0xe9" in err
+    assert "Traceback" not in err and not out
+
+
+def test_corpus_report_malformed_line_names_file(capsys, tmp_path):
+    tagged = tmp_path / "bad.tsv"
+    tagged.write_text("the\tDT\nnun NN\n")
+    code, out, err = run(capsys, "corpus-report", str(tagged))
+    assert code == 3
+    assert f"bad data: {tagged}: line 2: expected token<TAB>POS, got 'nun NN'" in err
     assert "Traceback" not in err and not out
 
 

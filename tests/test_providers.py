@@ -90,6 +90,13 @@ def test_wndb_malformed_record_reports_line(tmp_path):
     (tmp_path / "index.noun").write_text("apple n 1 1 @ 1 0 00000001\n")
     with pytest.raises(DataFormatError, match="data.noun:2"):
         load_noun_index(tmp_path)
+    # "²" passes str.isdigit() but int() rejects it
+    (tmp_path / "data.noun").write_text(
+        "00000001 18 n 01 apple 0 000 | a fruit\n\u00b20000001 18 n 01 pear 0 000 | a fruit\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError, match="data.noun:2: malformed synset record"):
+        load_noun_index(tmp_path)
     (tmp_path / "data.noun").write_text("00000001 18 n 01 apple 0 001 @ 00000001 n 0000 | a fruit\n")
     (tmp_path / "index.noun").write_bytes(b"apple n 1 1 @ 1 0 00000001\n\xff\n")
     with pytest.raises(DataFormatError, match=r"index\.noun: not UTF-8 text \(byte 0xff"):
