@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classifier import ClassificationResult, ROUTE_DICTIONARY, classify
 from .core import ClassifierParams, GenderLabel, SeedLexicon
@@ -25,8 +25,7 @@ NOUN_TAGS = ("NN", "NNS")
 _BATCH_LINES = 16384
 
 
-@dataclass(frozen=True)
-class NounRecord:
+class NounRecord(NamedTuple):
     surface: str
     pos: str
     frequency: int

@@ -9,7 +9,7 @@ spaces and are skipped):
 
   index.noun   lemma pos synset_cnt p_cnt [ptr_symbol...] sense_cnt
                tagsense_cnt synset_offset [synset_offset...]
-               Offsets appear in sense order.
+               Offsets appear in sense order. Numbers are ASCII digits.
 
   data.noun    synset_offset lex_filenum ss_type w_cnt word lex_id
                [word lex_id...] p_cnt [ptr...] | gloss
@@ -34,12 +34,12 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
     glosses: dict[int, str] = {}
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.startswith(" ") or not line.strip():
+            if line.startswith(" ") or line.isspace():
                 continue
-            head, sep, gloss = line.partition("|")
-            if not sep:
+            bar = line.find("|")
+            if bar < 0:
                 raise DataFormatError(f"{path.name}:{lineno}: record has no gloss separator")
-            fields = head.split()
+            fields = line[:bar].split(None, 3)  # only the offset and ss_type are read
             if len(fields) < 4 or not (fields[0].isascii() and fields[0].isdigit()):
                 raise DataFormatError(f"{path.name}:{lineno}: malformed synset record")
             if fields[2] != "n":
@@ -47,36 +47,8 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
             offset = int(fields[0])
             if offset in glosses:
                 raise DataFormatError(f"{path.name}:{lineno}: duplicate synset offset {offset}")
-            glosses[offset] = gloss.strip().rstrip(";").strip()
+            glosses[offset] = line[bar + 1 :].strip().rstrip(";").strip()
     return glosses
-
-
-def _parse_index_noun(path: Path) -> dict[str, tuple[int, ...]]:
-    """Map lemma -> synset offsets in sense order."""
-    index: dict[str, tuple[int, ...]] = {}
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith(" ") or not line.strip():
-                continue
-            fields = line.split()
-            try:
-                lemma, pos, synset_cnt, p_cnt = fields[0], fields[1], int(fields[2]), int(fields[3])
-                if pos != "n":
-                    raise ValueError(f"unexpected pos {pos!r}")
-                # skip pointer symbols, then sense_cnt and tagsense_cnt
-                rest = fields[4 + p_cnt:]
-                sense_cnt = int(rest[0])
-                if sense_cnt != synset_cnt:
-                    raise ValueError("sense count disagrees with synset count")
-                offsets = tuple(int(off) for off in rest[2 : 2 + synset_cnt])
-                if len(offsets) != synset_cnt:
-                    raise ValueError("missing synset offsets")
-            except (IndexError, ValueError) as exc:
-                raise DataFormatError(f"{path.name}:{lineno}: {exc}") from exc
-            if lemma in index:
-                raise DataFormatError(f"{path.name}:{lineno}: duplicate lemma {lemma!r}")
-            index[lemma] = offsets
-    return index
 
 
 def load_noun_index(directory: str | Path) -> dict[str, tuple[str, ...]]:
@@ -84,14 +56,42 @@ def load_noun_index(directory: str | Path) -> dict[str, tuple[str, ...]]:
     directory = Path(directory)
     glosses = _parse_data_noun(directory / DATA_FILE)
     index: dict[str, tuple[str, ...]] = {}
-    for lemma, offsets in _parse_index_noun(directory / INDEX_FILE).items():
-        try:
-            index[lemma] = tuple(glosses[off] for off in offsets)
-        except KeyError as exc:
-            raise DataFormatError(
-                f"{INDEX_FILE}: lemma {lemma!r} references offset {exc.args[0]} "
-                f"missing from {DATA_FILE}"
-            ) from exc
+    dangling = None  # first (lemma, offset) missing from data.noun, reported after the line checks
+    with open_utf8(directory / INDEX_FILE) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith(" ") or line.isspace():
+                continue
+            fields = line.split()
+            try:
+                lemma, pos, synset_cnt, p_cnt = fields[0], fields[1], int(fields[2]), int(fields[3])
+                if pos != "n":
+                    raise ValueError(f"unexpected pos {pos!r}")
+                # skip pointer symbols; sense_cnt and tagsense_cnt precede the offsets
+                numbers = fields[4 + p_cnt : 6 + p_cnt + synset_cnt]
+                if int(numbers[0]) != synset_cnt:
+                    raise ValueError("sense count disagrees with synset count")
+                digits = fields[2] + fields[3] + "".join(numbers)
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError("numeric fields must be ASCII digits")
+                if synset_cnt and len(numbers) != 2 + synset_cnt:  # a sense-less line may end early
+                    raise ValueError("missing synset offsets")
+                if synset_cnt == 1:
+                    entry = (glosses[int(numbers[2])],)
+                else:
+                    entry = tuple(map(glosses.__getitem__, map(int, numbers[2:])))
+            except (IndexError, ValueError) as exc:
+                raise DataFormatError(f"{INDEX_FILE}:{lineno}: {exc}") from exc
+            except KeyError as exc:
+                dangling = dangling or (lemma, exc.args[0])
+                entry = ()
+            if lemma in index:
+                raise DataFormatError(f"{INDEX_FILE}:{lineno}: duplicate lemma {lemma!r}")
+            index[lemma] = entry
+    if dangling is not None:
+        raise DataFormatError(
+            f"{INDEX_FILE}: lemma {dangling[0]!r} references offset {dangling[1]} "
+            f"missing from {DATA_FILE}"
+        )
     return index
 
 

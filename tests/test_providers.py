@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -120,6 +121,24 @@ def test_wndb_duplicate_lemma_reports_line(tmp_path):
         "apple n 1 0 1 0 00000001\napple n 1 0 1 0 00000002\n"
     )
     with pytest.raises(DataFormatError, match="index.noun:2: duplicate lemma 'apple'"):
+        load_noun_index(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "index_line, message",
+    [
+        ("apple v 1 0 1 0 00000001", "unexpected pos 'v'"),
+        ("apple n 1 0 2 0 00000001", "sense count disagrees with synset count"),
+        ("apple n 2 0 2 0 00000001", "missing synset offsets"),
+        ("apple n 2 0 2 0 00000099", "missing synset offsets"),
+        ("apple n 1 9 @ 1 0 00000001", "list index out of range"),
+    ],
+    ids=["wrong-pos", "sense-count", "too-few-offsets", "too-few-dangling", "pointers-past-end"],
+)
+def test_wndb_index_error_reports_line(tmp_path, index_line, message):
+    (tmp_path / "data.noun").write_text("00000001 18 n 01 apple 0 000 | a fruit\n")
+    (tmp_path / "index.noun").write_text(f"  1 header\npear n 1 0 1 0 00000001\n{index_line}\n")
+    with pytest.raises(DataFormatError, match=f"^index\\.noun:3: {re.escape(message)}$"):
         load_noun_index(tmp_path)
 
 
