@@ -108,7 +108,7 @@ _LEMMAS = ["apple", "nun", "fig_tree", "monk", "pear", "widow"]
 _GLOSSES = ["a fruit", 'an adult female; "the nun prayed"', "tree ;", "", "a | b"]
 # Tokens a mutation may put in place of a well-formed one: signs, "_",
 # non-ASCII digits and non-numbers, next to values a field can legally take.
-_TOKENS = ["+1", "-1", "+0", "1_0", "0000_0001", "١", "²", "x", "n", "v", "|", "@", "0", "1", "2"]
+_TOKENS = ["+1", "-1", "+0", "1_0", "0000_0001", "\u0661", "\u00b2", "x", "n", "v", "|", "@", "0", "1", "2"]
 _EXTRA_LINES = ["  1 header | with bar", "", "\t ", "not a record", "apple n 1 0 1 0 1"]
 
 
@@ -175,8 +175,6 @@ def test_generated_db_matches_oracle(db):
     if new[0] == "error" and new[3] == DIGITS_MESSAGE:
         # the oracle took this line: it loads, or fails later or at the join
         assert old[0] == "ok" or old[2] is None or old[2] >= new[2]
-    elif new[0] == "ok":
-        assert old == new
     else:
         assert old == new
 
