@@ -71,3 +71,41 @@ def test_incorrect_runs_leave_their_pair_out():
     assert summary["a"]["metrics"]["setup_s"]["pairs"] == 1
     assert summary["b"]["metrics"] == {}
     assert summary["b"]["change"]["incorrect_runs"] == 1
+    assert not summary["a"]["metrics"]["setup_s"]["gain_rule_holds"]
+
+
+# Ten pairs whose parent runs spread 0.9-1.1 s; the change is 0.5 s faster in each.
+PARENT_10 = [(0.9 + 0.02 * i, 1) for i in range(10)]
+FASTER_10 = [(p - 0.5, 1) for p, _ in PARENT_10]
+
+
+def test_gain_rule_holds_for_a_clean_clear_win():
+    summary = bench_pairs.summarize(_pairs(PARENT_10, FASTER_10), METRICS)["w"]
+    assert summary["metrics"]["setup_s"]["gain_rule_holds"]
+
+
+def test_gain_rule_divides_wins_by_every_pair_run():
+    pairs = _pairs(PARENT_10, FASTER_10)
+    pairs[0]["parent"] = None  # the parent printed no result
+    pairs[1]["parent"] = dict(pairs[1]["parent"], correct=False)
+    setup = bench_pairs.summarize(pairs, METRICS)["w"]["metrics"]["setup_s"]
+    assert (setup["change_wins"], setup["pairs"]) == (8, 8)
+    assert not setup["gain_rule_holds"]  # 8 wins in 10 pairs run
+
+
+def test_gain_rule_fails_when_a_change_run_is_incorrect():
+    pairs = _pairs(PARENT_10, FASTER_10)
+    pairs[0]["change"] = dict(pairs[0]["change"], correct=False)
+    setup = bench_pairs.summarize(pairs, METRICS)["w"]["metrics"]["setup_s"]
+    assert setup["change_wins"] == 9  # nine in ten, but one change run failed its checks
+    assert not setup["gain_rule_holds"]
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, holds", [(0, 1, False), (1, 2, False), (1, 1, True), (1, 0, True)])
+def test_gain_rule_fails_when_the_change_fails_a_larger_share(parent_failed, change_failed, holds):
+    pairs = _pairs(PARENT_10, FASTER_10)
+    pairs[3]["parent"] = _result(*PARENT_10[3], failed=parent_failed)
+    pairs[3]["change"] = _result(*FASTER_10[3], failed=change_failed)
+    summary = bench_pairs.summarize(pairs, METRICS)["w"]
+    assert summary["metrics"]["setup_s"]["change_wins"] == 10
+    assert summary["metrics"]["setup_s"]["gain_rule_holds"] is holds

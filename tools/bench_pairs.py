@@ -4,21 +4,24 @@
 Usage (from the root of a checkout)::
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
-        --workload corpus_wndb --seed 3101 [--seconds 25] [--out FILE]
+        --workload corpus_wndb --seed 3101 [--out FILE]
 
 Each revision is checked out into its own temporary ``git worktree``, so
 each side runs its own ``perfbench/run.py`` on its own ``src/``. Both
 worktrees are removed on exit. Pair ``i`` runs both sides with seed
 ``seed + i``, the parent first when ``i`` is even and the change first
-when it is odd. Without ``--workload`` every workload of ``BENCHMARK.json``
-runs, one after the other within each pair.
+when it is odd. Every run lasts the ``run_seconds`` that ``BENCHMARK.json``
+fixes. Without ``--workload`` every workload of ``BENCHMARK.json`` runs,
+one after the other within each pair.
 
 For every workload and end-to-end metric the output file (default
 ``BENCH_<short change sha>.json`` in the checkout) records each side's
 runs, median and quartiles, the pairs the change won and lost, and whether
-the gain rule holds: the change wins at least nine pairs in ten, and its
-median beats the parent's by more than the distance between the parent's
-quartiles. Only the standard library is used.
+the gain rule holds: the change wins at least nine in ten of all pairs run,
+its median beats the parent's by more than the distance between the
+parent's quartiles, every run of the change passed its output checks, and
+no larger share of the change's operations failed than of the parent's.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ def _value(result: dict | None, metric: str) -> float | None:
     return None if entry is None else entry["value"]
 
 
+def _failed_share(side: dict) -> float:
+    return side["failed"] / side["attempted"] if side["attempted"] else 0.0
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: each metric's per-side statistics and the pairs won.
 
@@ -68,7 +75,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     per pair, each side the result object ``perfbench/run.py`` printed (or
     None when the run gave none). ``metrics`` are the ``end_to_end`` entries
     of ``BENCHMARK.json``. A pair counts toward wins only when both sides
-    ran correctly; ties count for neither side.
+    ran correctly, and ties count for neither side; but the gain rule
+    divides the wins by every pair run, and never holds when a run of the
+    change was incorrect or the change failed a larger share of its
+    operations than the parent.
     """
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
@@ -82,6 +92,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             }
             for side in SIDES
         }
+        change_sound = entry["change"]["incorrect_runs"] == 0 and (
+            _failed_share(entry["change"]) <= _failed_share(entry["parent"])
+        )
         entry["metrics"] = {}
         for spec in metrics:
             name, lower_is_better = spec["name"], spec["better"] == "lower"
@@ -102,7 +115,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             parent, change = stats["parent"], stats["change"]
             stats["median_change"] = change["median"] / parent["median"] - 1 if parent["median"] else None
             stats["gain_rule_holds"] = (
-                stats["change_wins"] >= 0.9 * len(both)
+                change_sound
+                and stats["change_wins"] >= 0.9 * len(mine)
                 and sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"]
             )
             entry["metrics"][name] = stats
@@ -137,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path, help="output file (default BENCH_<short change sha>.json)")
     parser.add_argument("--workdir", type=Path, help="where the temporary worktrees go")
     args = parser.parse_args(argv)
@@ -160,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             for workload in workloads:
                 pair = {"workload": workload, "seed": args.seed + i}
                 for side in order:
-                    pair[side] = run_side(trees[side], workload, args.seed + i, args.seconds)
+                    pair[side] = run_side(trees[side], workload, args.seed + i, spec["run_seconds"])
                     print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
                           f"{json.dumps((pair[side] or {}).get('metrics'))}", file=sys.stderr)
                 pairs.append(pair)
@@ -174,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "parent": {"rev": args.parent, "sha": shas["parent"]},
         "change": {"rev": args.change, "sha": shas["change"]},
-        "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": args.seconds,
+        "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": spec["run_seconds"],
                      "order": "parent first in even pairs (0, 2, ...), change first in odd ones"},
         "environment": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count(), "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
