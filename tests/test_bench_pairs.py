@@ -102,7 +102,7 @@ def test_gain_rule_fails_when_a_change_run_is_incorrect():
 
 
 @pytest.mark.parametrize("parent_failed, change_failed, holds", [(0, 1, False), (1, 2, False), (1, 1, True), (1, 0, True)])
-def test_gain_rule_fails_when_the_change_fails_a_larger_share(parent_failed, change_failed, holds):
+def test_gain_rule_fails_when_the_change_fails_more_operations(parent_failed, change_failed, holds):
     pairs = _pairs(PARENT_10, FASTER_10)
     pairs[3]["parent"] = _result(*PARENT_10[3], failed=parent_failed)
     pairs[3]["change"] = _result(*FASTER_10[3], failed=change_failed)

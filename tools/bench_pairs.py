@@ -20,7 +20,7 @@ runs, median and quartiles, the pairs the change won and lost, and whether
 the gain rule holds: the change wins at least nine in ten of all pairs run,
 its median beats the parent's by more than the distance between the
 parent's quartiles, every run of the change passed its output checks, and
-no larger share of the change's operations failed than of the parent's.
+no more of the change's operations failed than of the parent's.
 Only the standard library is used.
 """
 
@@ -64,10 +64,6 @@ def _value(result: dict | None, metric: str) -> float | None:
     return None if entry is None else entry["value"]
 
 
-def _failed_share(side: dict) -> float:
-    return side["failed"] / side["attempted"] if side["attempted"] else 0.0
-
-
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: each metric's per-side statistics and the pairs won.
 
@@ -77,8 +73,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     of ``BENCHMARK.json``. A pair counts toward wins only when both sides
     ran correctly, and ties count for neither side; but the gain rule
     divides the wins by every pair run, and never holds when a run of the
-    change was incorrect or the change failed a larger share of its
-    operations than the parent.
+    change was incorrect or the change failed more operations than the
+    parent.
     """
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
@@ -92,8 +88,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             }
             for side in SIDES
         }
-        change_sound = entry["change"]["incorrect_runs"] == 0 and (
-            _failed_share(entry["change"]) <= _failed_share(entry["parent"])
+        change_sound = (
+            entry["change"]["incorrect_runs"] == 0 and entry["change"]["failed"] <= entry["parent"]["failed"]
         )
         entry["metrics"] = {}
         for spec in metrics:
