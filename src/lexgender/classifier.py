@@ -27,7 +27,6 @@ the grid search tokenizes each word's definitions once for all its cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -48,8 +47,7 @@ _DEFAULT_LEXICON = default_lexicon()
 _STRIP_CHARS = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~‘’“”–—…"
 
 
-@dataclass(frozen=True)
-class ProviderVerdict:
+class ProviderVerdict(NamedTuple):
     """One dictionary's counts and resulting label for one word."""
 
     provider_id: str
@@ -68,8 +66,7 @@ class SeedHit(NamedTuple):
     masculine: bool
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Full outcome for one target word."""
 
     word: str

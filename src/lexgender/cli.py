@@ -28,13 +28,7 @@ from .core import (
 from .corpus import composition_report, classify_inventory, gendered_sample, ingest_tagged
 from .errors import DataFormatError, TransportError, open_utf8
 from .evaluation import classify_gold, evaluate_results, grid_search, load_gold
-from .providers import (
-    CachedHttpProvider,
-    Provider,
-    SnapshotProvider,
-    WordNetProvider,
-    snapshot_write,
-)
+from .providers import Provider, SnapshotProvider, WordNetProvider, snapshot_write
 
 CACHE_ENV_VAR = "LEXGENDER_CACHE"
 
@@ -114,6 +108,8 @@ def _build_providers(args, parser: _Parser) -> list[Provider]:
     if args.live and args.offline:
         parser.error("--offline forbids --live sources")
     if args.live:
+        from .providers.httpdict import CachedHttpProvider  # offline runs never load it
+
         cache_root = args.cache_root or os.environ.get(CACHE_ENV_VAR)
         if not cache_root:
             cache_root = Path.home() / ".cache" / "lexgender"

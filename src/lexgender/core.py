@@ -7,7 +7,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class GenderLabel(str, enum.Enum):
@@ -30,20 +30,34 @@ class GenderLabel(str, enum.Enum):
 GOLD_LABELS = (GenderLabel.MASC, GenderLabel.FEM, GenderLabel.NEUT)
 
 
-@dataclass(frozen=True)
-class SeedPair:
-    """One definitively gendered feminine/masculine word pair."""
+def _checked_make(cls, iterable):
+    """Build ``cls`` from an iterable through the checks in its ``__new__``.
 
+    NamedTuple's own ``_make``, which ``_replace`` calls, skips ``__new__``.
+    """
+    return cls(*iterable)
+
+
+class _SeedPair(NamedTuple):
     rank: int
     feminine: str
     masculine: str
 
-    def __post_init__(self) -> None:
-        for form in (self.feminine, self.masculine):
+
+class SeedPair(_SeedPair):
+    """One definitively gendered feminine/masculine word pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, feminine: str, masculine: str):
+        for form in (feminine, masculine):
             if not form or form != form.lower() or len(form.split()) != 1:
                 raise ValueError(f"seed form must be a non-empty lowercase token: {form!r}")
-        if self.feminine == self.masculine:
+        if feminine == masculine:
             raise ValueError("feminine and masculine forms must differ")
+        return super().__new__(cls, rank, feminine, masculine)
+
+    _make = classmethod(_checked_make)
 
 
 # The plural map is a fixed hand-written table: the seed set is closed and
@@ -79,8 +93,17 @@ _PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class SeedLexicon:
+class _SeedLexicon(NamedTuple):
+    pairs: tuple[SeedPair, ...]
+    plurals: dict[str, str]
+    #: Every seed form and seed plural -> (pair index, masculine?), built
+    #: once at construction; the forms and the shortcut are read from it.
+    #: It follows from the other two fields, so equality still means equal
+    #: pairs and plurals.
+    form_index: dict[str, tuple[int, bool]]
+
+
+class SeedLexicon(_SeedLexicon):
     """The ordered gendered seed pairs plus the plural form of every seed.
 
     Pairs are ordered by rank; truncation to the first ``w`` pairs preserves
@@ -89,31 +112,35 @@ class SeedLexicon:
     lowercase only.
     """
 
-    pairs: tuple[SeedPair, ...]
-    plurals: dict[str, str] = field(repr=False)
-    #: Every seed form and seed plural -> (pair index, masculine?), built
-    #: once at construction; the forms and the shortcut are read from it.
-    form_index: dict[str, tuple[int, bool]] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ranks = [p.rank for p in self.pairs]
+    def __new__(cls, pairs: tuple[SeedPair, ...], plurals: dict[str, str]):
+        ranks = [p.rank for p in pairs]
         if len(set(ranks)) != len(ranks):
             raise ValueError("pair ranks must be unique")
-        forms = [f for p in self.pairs for f in (p.feminine, p.masculine)]
+        forms = [f for p in pairs for f in (p.feminine, p.masculine)]
         if len(set(forms)) != len(forms):
             raise ValueError("a seed form appears in more than one pair")
         for form in forms:
-            if form not in self.plurals:
+            if form not in plurals:
                 raise ValueError(f"no plural entry for seed form {form!r}")
-        if len(set(self.plurals.values())) != len(self.plurals):
+        if len(set(plurals.values())) != len(plurals):
             raise ValueError("plural map must be injective")
         index: dict[str, tuple[int, bool]] = {}
-        for i, pair in enumerate(self.pairs):
+        for i, pair in enumerate(pairs):
             for singular, masculine in ((pair.feminine, False), (pair.masculine, True)):
-                for form in (singular, self.plurals[singular]):
+                for form in (singular, plurals[singular]):
                     if index.setdefault(form, (i, masculine)) != (i, masculine):
                         raise ValueError(f"{form!r} is both a seed form and another seed's plural")
-        object.__setattr__(self, "form_index", index)
+        return super().__new__(cls, pairs, plurals, index)
+
+    @classmethod
+    def _make(cls, iterable):  # rebuilds form_index from the pairs and plurals
+        pairs, plurals, *_ = iterable
+        return cls(pairs, plurals)
+
+    def __getnewargs__(self):  # for copy and pickle, which call __new__ with these
+        return self[:2]
 
     def truncated(self, w: int) -> tuple[SeedPair, ...]:
         """First ``w`` pairs in rank order."""
@@ -148,8 +175,13 @@ class SeedLexicon:
         return GenderLabel.MASC if found[1] else GenderLabel.FEM
 
 
-@dataclass(frozen=True)
-class ClassifierParams:
+class _ClassifierParams(NamedTuple):
+    d: int
+    t: int
+    w: int
+
+
+class ClassifierParams(_ClassifierParams):
     """The three knobs limiting how much definition text is counted.
 
     d: number of definitions considered per dictionary (earlier senses are
@@ -158,17 +190,18 @@ class ClassifierParams:
     w: number of seed pairs used for counting (rank order truncation)
     """
 
-    d: int = 4
-    t: int = 20
-    w: int = 5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
-        if not 1 <= self.w <= 8:
-            raise ValueError(f"w must be in 1..8, got {self.w}")
+    def __new__(cls, d: int = 4, t: int = 20, w: int = 5):
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        if t < 1:
+            raise ValueError(f"t must be >= 1, got {t}")
+        if not 1 <= w <= 8:
+            raise ValueError(f"w must be in 1..8, got {w}")
+        return super().__new__(cls, d, t, w)
+
+    _make = classmethod(_checked_make)
 
 
 #: Default grid-search ranges for each parameter.

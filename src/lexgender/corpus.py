@@ -10,7 +10,6 @@ classified and tabulated per gender label.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -31,8 +30,7 @@ class NounRecord(NamedTuple):
     frequency: int
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     """Distinct-noun counts per gender label and POS tag."""
 
     counts: dict[str, dict[str, int]]  # label value -> {"NN": n, "NNS": n, "all": n}

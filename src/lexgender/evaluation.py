@@ -13,9 +13,8 @@ Scoring conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classifier import (
     ROUTE_DICTIONARY,
@@ -48,15 +47,13 @@ CONFUSION_GOLD_AXIS = tuple(label.value for label in GOLD_LABELS)
 CONFUSION_PREDICTED_AXIS = tuple(label.value for label in GenderLabel)
 
 
-@dataclass(frozen=True)
-class GoldEntry:
+class GoldEntry(NamedTuple):
     word: str
     label: GenderLabel
     category: str
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Scores for one prediction set against the gold list."""
 
     n: int
@@ -81,12 +78,12 @@ class Metrics:
         }
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Combined metrics plus the same metrics per provider.
 
-    ``per_provider`` is keyed by provider id and always contains a
-    "combined" entry mirroring the top-level numbers.
+    The first six fields are those of ``Metrics``. ``per_provider`` is keyed
+    by provider id and always contains a "combined" entry mirroring the
+    top-level numbers.
     """
 
     n: int
@@ -95,18 +92,10 @@ class EvalReport:
     weighted_recall: float
     weighted_f1: float
     confusion: tuple[tuple[int, ...], ...]
-    per_provider: dict[str, Metrics] = field(default_factory=dict)
+    per_provider: dict[str, Metrics]
 
     def to_dict(self) -> dict:
-        combined = Metrics(
-            self.n,
-            self.accuracy,
-            self.weighted_precision,
-            self.weighted_recall,
-            self.weighted_f1,
-            self.confusion,
-        )
-        report = combined.to_dict()
+        report = Metrics(*self[:6]).to_dict()
         report["per_provider"] = {
             name: metrics.to_dict() for name, metrics in self.per_provider.items()
         }
@@ -203,15 +192,7 @@ def evaluate(
 ) -> EvalReport:
     """Score a single word -> predicted-label mapping against the gold list."""
     metrics = _score(predictions, gold, not_found_as_neut)
-    return EvalReport(
-        n=metrics.n,
-        accuracy=metrics.accuracy,
-        weighted_precision=metrics.weighted_precision,
-        weighted_recall=metrics.weighted_recall,
-        weighted_f1=metrics.weighted_f1,
-        confusion=metrics.confusion,
-        per_provider={"combined": metrics},
-    )
+    return EvalReport(*metrics, per_provider={"combined": metrics})
 
 
 def provider_predictions(
@@ -252,15 +233,7 @@ def evaluate_results(
             provider_predictions(results, provider_id), gold, not_found_as_neut
         )
     per_provider["combined"] = combined
-    return EvalReport(
-        n=combined.n,
-        accuracy=combined.accuracy,
-        weighted_precision=combined.weighted_precision,
-        weighted_recall=combined.weighted_recall,
-        weighted_f1=combined.weighted_f1,
-        confusion=combined.confusion,
-        per_provider=per_provider,
-    )
+    return EvalReport(*combined, per_provider=per_provider)
 
 
 def classify_gold(
@@ -277,8 +250,7 @@ def classify_gold(
     return results
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
+class GridSearchResult(NamedTuple):
     best: ClassifierParams
     best_accuracy: float
     table: dict[tuple[int, int, int], float]

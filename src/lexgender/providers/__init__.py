@@ -1,80 +1,41 @@
-"""Dictionary providers: WNDB parser, cached HTTP clients, frozen snapshots."""
+"""Dictionary providers: WNDB parser, cached HTTP clients, frozen snapshots.
+
+The live-source names (``CachedHttpProvider``, ``SITES``, ``cache_file``,
+``DIALECTS``, ``extract_definitions_html``) are imported on first access,
+so offline runs never load the HTTP client or the HTML extractor.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+import importlib
 
 from .base import DefinitionSet, Provider, check_word
-from .htmlextract import DIALECTS, extract_definitions_html
-from .httpdict import SITES, CachedHttpProvider, cache_file
 from .snapshot import SnapshotProvider, snapshot_write
 from .wndb import WordNetProvider, load_noun_index
 
-MODES = ("wordnet_db", "http_live", "snapshot")
+_LIVE_NAMES = {
+    "CachedHttpProvider": "httpdict",
+    "SITES": "httpdict",
+    "cache_file": "httpdict",
+    "DIALECTS": "htmlextract",
+    "extract_definitions_html": "htmlextract",
+}
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
-    """Declarative description of one dictionary source.
-
-    ``data_path`` is the WNDB directory, the cache directory, or the
-    snapshot file depending on ``mode``. ``min_request_interval`` applies to
-    http_live only.
-    """
-
-    provider_id: str
-    mode: str
-    data_path: str | Path
-    min_request_interval: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "http_live" and self.min_request_interval <= 0:
-            raise ValueError("min_request_interval must be > 0 for http_live")
-
-
-def build_provider(config: ProviderConfig, **kwargs) -> Provider:
-    """Instantiate the provider described by ``config``."""
-    if config.mode == "wordnet_db":
-        return WordNetProvider(config.data_path, provider_id=config.provider_id)
-    if config.mode == "snapshot":
-        provider = SnapshotProvider(config.data_path)
-        if provider.provider_id != config.provider_id:
-            raise ValueError(
-                f"snapshot {config.data_path} was captured from "
-                f"{provider.provider_id!r}, not {config.provider_id!r}"
-            )
-        return provider
-    return CachedHttpProvider(
-        config.provider_id,
-        cache_root=config.data_path,
-        min_request_interval=config.min_request_interval,
-        **kwargs,
-    )
-
-
-def build_providers(configs: Sequence[ProviderConfig], **kwargs) -> list[Provider]:
-    ids = [c.provider_id for c in configs]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"provider ids must be unique, got {ids}")
-    return [build_provider(c, **kwargs) for c in configs]
+def __getattr__(name: str):
+    if name not in _LIVE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LIVE_NAMES[name]}", __name__), name)
 
 
 __all__ = [
     "CachedHttpProvider",
     "DefinitionSet",
     "DIALECTS",
-    "MODES",
     "Provider",
-    "ProviderConfig",
     "SITES",
     "SnapshotProvider",
     "WordNetProvider",
-    "build_provider",
-    "build_providers",
     "cache_file",
     "check_word",
     "extract_definitions_html",

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 from ..errors import DataFormatError
 
 
-@dataclass(frozen=True)
-class DefinitionSet:
+class DefinitionSet(NamedTuple):
     """Ordered definitions for one word from one source.
 
     Definition order is the source's sense order (earlier = more general

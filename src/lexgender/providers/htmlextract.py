@@ -11,14 +11,13 @@ kept).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from html import unescape
+from typing import NamedTuple
 
 from ..errors import TransportError
 
 
-@dataclass(frozen=True)
-class DialectRules:
+class DialectRules(NamedTuple):
     definition_tag: str
     definition_class: str
     pos_tag: str | None = None

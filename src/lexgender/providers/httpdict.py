@@ -15,9 +15,8 @@ import tempfile
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import DataFormatError, TransportError, open_utf8
 from .base import DefinitionSet, check_word, entry_definitions
@@ -27,8 +26,7 @@ if TYPE_CHECKING:
     import requests
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(NamedTuple):
     url_template: str
     dialect: str
 

@@ -18,7 +18,6 @@ with ``found: false`` both look up as not found.
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
@@ -70,6 +69,8 @@ def snapshot_write(provider: Provider, words: Iterable[str], path: str | Path) -
     from live providers propagate; nothing is written in that case.
     Returns the snapshot object that was written.
     """
+    from datetime import datetime, timezone  # only capturing needs it; loading never does
+
     entries: dict[str, dict] = {}
     for word in words:
         word = word.strip().lower()

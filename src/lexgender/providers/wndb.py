@@ -9,7 +9,8 @@ spaces and are skipped):
 
   index.noun   lemma pos synset_cnt p_cnt [ptr_symbol...] sense_cnt
                tagsense_cnt synset_offset [synset_offset...]
-               Offsets appear in sense order. Numbers are ASCII digits.
+               Offsets appear in sense order. Numbers are ASCII digits,
+               and a line has exactly 6 + p_cnt + synset_cnt fields.
 
   data.noun    synset_offset lex_filenum ss_type w_cnt word lex_id
                [word lex_id...] p_cnt [ptr...] | gloss
@@ -27,6 +28,7 @@ from .base import DefinitionSet, check_word
 
 INDEX_FILE = "index.noun"
 DATA_FILE = "data.noun"
+FIELD_COUNT_MESSAGE = "field count disagrees with pointer and synset counts"
 
 
 def _parse_data_noun(path: Path) -> dict[int, str]:
@@ -73,8 +75,9 @@ def load_noun_index(directory: str | Path) -> dict[str, tuple[str, ...]]:
                 digits = fields[2] + fields[3] + "".join(numbers)
                 if not (digits.isascii() and digits.isdigit()):
                     raise ValueError("numeric fields must be ASCII digits")
-                if synset_cnt and len(numbers) != 2 + synset_cnt:  # a sense-less line may end early
-                    raise ValueError("missing synset offsets")
+                if len(fields) != 6 + p_cnt + synset_cnt:
+                    short = synset_cnt and len(fields) < 6 + p_cnt + synset_cnt
+                    raise ValueError("missing synset offsets" if short else FIELD_COUNT_MESSAGE)
                 if synset_cnt == 1:
                     entry = (glosses[int(numbers[2])],)
                 else:

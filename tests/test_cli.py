@@ -9,7 +9,7 @@ import pytest
 import requests
 
 from lexgender.cli import main
-from lexgender.data import gold_path, toy_corpus_path, wndb_dir
+from lexgender.data import gold_path, snapshot_path, toy_corpus_path, wndb_dir
 from lexgender.providers import cache_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -88,6 +88,16 @@ def test_offline_never_touches_network(capsys, monkeypatch):
 
 
 LIVE_ONLY_MODULES = ("requests", "urllib3", "concurrent.futures", "html.parser", "_markupbase")
+# Modules an offline start has no use for: dataclass machinery (which pulls in
+# inspect), snapshot timestamps, and the live sources' own modules.
+UNUSED_OFFLINE_MODULES = (
+    "dataclasses",
+    "inspect",
+    "datetime",
+    "html",
+    "lexgender.providers.httpdict",
+    "lexgender.providers.htmlextract",
+)
 
 
 @pytest.mark.parametrize(
@@ -103,8 +113,10 @@ LIVE_ONLY_MODULES = ("requests", "urllib3", "concurrent.futures", "html.parser",
 )
 def test_offline_start_imports_no_live_only_module(code):
     # requests and the thread pool cost about half of an offline CLI run's start-up;
-    # html.parser is needed by nothing in the package
-    probe = f"{code}\nimport sys\nprint([m for m in {LIVE_ONLY_MODULES!r} if m in sys.modules])"
+    # html.parser is needed by nothing in the package; dataclasses and the live
+    # sources' modules cost about a quarter of what is left
+    modules = LIVE_ONLY_MODULES + UNUSED_OFFLINE_MODULES
+    probe = f"{code}\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -114,6 +126,13 @@ def test_offline_start_imports_no_live_only_module(code):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_duplicate_provider_ids_rejected(capsys):
+    snapshot = str(snapshot_path("wordnet"))
+    code, _, err = run(capsys, "classify", "--snapshot", snapshot, "--snapshot", snapshot, "nun")
+    assert code == 1
+    assert "duplicate provider ids" in err
 
 
 def test_evaluate_bundled_gold(capsys):

@@ -12,11 +12,8 @@ import requests
 from lexgender.errors import DataFormatError, TransportError
 from lexgender.providers import (
     CachedHttpProvider,
-    ProviderConfig,
     SnapshotProvider,
     WordNetProvider,
-    build_provider,
-    build_providers,
     cache_file,
     extract_definitions_html,
     load_noun_index,
@@ -472,37 +469,3 @@ def test_bundled_wordnet_snapshot_matches_wndb(bundled_providers, wordnet, gold)
     snapshot = next(p for p in bundled_providers if p.provider_id == "wordnet")
     for entry in gold:
         assert snapshot.lookup(entry.word) == wordnet.lookup(entry.word)
-
-
-# --- provider configs ---------------------------------------------------------
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ProviderConfig("x", "carrier_pigeon", "/tmp/x")
-    with pytest.raises(ValueError):
-        ProviderConfig("x", "http_live", "/tmp/x", min_request_interval=0)
-
-
-def test_build_provider_each_mode(tmp_path, tests_data, wordnet):
-    wn = build_provider(ProviderConfig("wordnet", "wordnet_db", tests_data / "wndb_mini"))
-    assert wn.lookup("cat") is not None
-
-    snapshot_write(wordnet, ["nun"], tmp_path / "wn.json")
-    snap = build_provider(ProviderConfig("wordnet", "snapshot", tmp_path / "wn.json"))
-    assert snap.deterministic
-
-    with pytest.raises(ValueError):
-        build_provider(ProviderConfig("other_id", "snapshot", tmp_path / "wn.json"))
-
-    live = build_provider(
-        ProviderConfig("merriam_webster", "http_live", tmp_path),
-        session=StubSession({}),
-    )
-    assert not live.deterministic
-
-
-def test_build_providers_rejects_duplicate_ids(tests_data):
-    config = ProviderConfig("wordnet", "wordnet_db", tests_data / "wndb_mini")
-    with pytest.raises(ValueError):
-        build_providers([config, config])
