@@ -281,6 +281,13 @@ def _live(tmp_path, session, provider_id="merriam_webster"):
     )
 
 
+def test_live_provider_rejects_bad_config(tmp_path):
+    with pytest.raises(ValueError, match="no site configured"):
+        _live(tmp_path, StubSession({}), provider_id="carrier_pigeon")
+    with pytest.raises(ValueError, match="min_request_interval must be > 0"):
+        CachedHttpProvider("merriam_webster", tmp_path, min_request_interval=0, session=StubSession({}))
+
+
 def test_live_lookup_parses_and_caches(tmp_path):
     session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
     provider = _live(tmp_path, session)
