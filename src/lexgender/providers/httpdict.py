@@ -70,9 +70,10 @@ def read_entry(path: Path) -> object:
 class CachedHttpProvider:
     """Definition lookups against one online dictionary, cache first.
 
-    Safe for concurrent callers: cache writes are atomic and network access
-    is serialized through a lock, which also enforces the minimum interval
-    between requests.
+    Safe for concurrent callers: cache writes are atomic, and a cache miss is
+    fetched, parsed and written under a lock, which also enforces the minimum
+    interval between requests. So callers that miss on the same word at once
+    send one request, and the others read the entry it wrote.
     """
 
     deterministic = False
@@ -109,30 +110,34 @@ class CachedHttpProvider:
         if path.exists():
             entry = read_entry(path)
         else:
-            entry = self._fetch(word)
-            write_entry_atomic(path, entry)
+            with self._lock:
+                if path.exists():  # another caller fetched it while this one waited
+                    entry = read_entry(path)
+                else:
+                    entry = self._fetch(word)
+                    write_entry_atomic(path, entry)
         definitions = entry_definitions(entry, f"corrupt cache entry {path}", word)
         if definitions is None:
             return None
         return DefinitionSet(word=word, provider_id=self.provider_id, definitions=definitions)
 
     def _fetch(self, word: str) -> dict:
+        """The entry for ``word`` from the network; the caller holds ``self._lock``."""
         import requests
 
         url = self.site.url_template.format(word=urllib.parse.quote(word, safe=""))
-        with self._lock:
-            wait = self._last_request + self.min_request_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            try:
-                response = self.session.get(
-                    url, headers={"User-Agent": _USER_AGENT}, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                raise TransportError(f"{self.provider_id}: request for {word!r} failed: {exc}") from exc
-            finally:
-                self._last_request = time.monotonic()
-                self.request_count += 1
+        wait = self._last_request + self.min_request_interval - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        try:
+            response = self.session.get(
+                url, headers={"User-Agent": _USER_AGENT}, timeout=self.timeout
+            )
+        except requests.RequestException as exc:
+            raise TransportError(f"{self.provider_id}: request for {word!r} failed: {exc}") from exc
+        finally:
+            self._last_request = time.monotonic()
+            self.request_count += 1
         if response.status_code == 404:
             return {"found": False, "definitions": []}
         if response.status_code != 200:

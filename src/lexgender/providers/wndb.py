@@ -16,7 +16,13 @@ spaces and are skipped):
                [word lex_id...] p_cnt [ptr...] | gloss
                The gloss is everything after the first "|". Example
                sentences (quoted segments) are part of the gloss and are
-               retained in the definition text.
+               retained in the definition text. w_cnt is hexadecimal,
+               the other numbers are decimal, and a pointer has four
+               fields, so the head before the "|" has exactly
+               4 + 2 * w_cnt + 1 + 4 * p_cnt fields.
+
+``load_noun_index`` keeps the parsed index in a cache next to the text
+files; see ``wndb_cache``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ from .base import DefinitionSet, check_word
 INDEX_FILE = "index.noun"
 DATA_FILE = "data.noun"
 FIELD_COUNT_MESSAGE = "field count disagrees with pointer and synset counts"
+HEAD_MESSAGE = "record head disagrees with its lex_filenum, w_cnt and p_cnt"
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+
+def _is_digits(field: str) -> bool:
+    return field.isascii() and field.isdigit()
 
 
 def _parse_data_noun(path: Path) -> dict[int, str]:
@@ -41,11 +54,20 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
             bar = line.find("|")
             if bar < 0:
                 raise DataFormatError(f"{path.name}:{lineno}: record has no gloss separator")
-            fields = line[:bar].split(None, 3)  # only the offset and ss_type are read
-            if len(fields) < 4 or not (fields[0].isascii() and fields[0].isdigit()):
+            fields = line[:bar].split()
+            if len(fields) < 4 or not _is_digits(fields[0]):
                 raise DataFormatError(f"{path.name}:{lineno}: malformed synset record")
             if fields[2] != "n":
                 raise DataFormatError(f"{path.name}:{lineno}: not a noun synset ({fields[2]!r})")
+            w_cnt = fields[3]
+            p_at = 4 + 2 * int(w_cnt, 16) if w_cnt and not w_cnt.strip(_HEX_DIGITS) else len(fields)
+            if not (
+                _is_digits(fields[1])
+                and p_at < len(fields)
+                and _is_digits(fields[p_at])
+                and len(fields) == p_at + 1 + 4 * int(fields[p_at])
+            ):
+                raise DataFormatError(f"{path.name}:{lineno}: {HEAD_MESSAGE}")
             offset = int(fields[0])
             if offset in glosses:
                 raise DataFormatError(f"{path.name}:{lineno}: duplicate synset offset {offset}")
@@ -54,8 +76,18 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
 
 
 def load_noun_index(directory: str | Path) -> dict[str, tuple[str, ...]]:
-    """Build the lemma -> ordered-gloss index from a WNDB directory."""
-    directory = Path(directory)
+    """The lemma -> ordered-gloss index of a WNDB directory, from its cache when valid.
+
+    On a miss the text files are parsed, and only an index that passed every
+    check is written to the cache.
+    """
+    from .wndb_cache import load_cached  # compiled on the first load, not at start-up
+
+    return load_cached(Path(directory))
+
+
+def _parse_noun_index(directory: Path) -> dict[str, tuple[str, ...]]:
+    """Build the lemma -> ordered-gloss index from the text files."""
     glosses = _parse_data_noun(directory / DATA_FILE)
     index: dict[str, tuple[str, ...]] = {}
     dangling = None  # first (lemma, offset) missing from data.noun, reported after the line checks

@@ -89,14 +89,17 @@ def test_offline_never_touches_network(capsys, monkeypatch):
 
 LIVE_ONLY_MODULES = ("requests", "urllib3", "concurrent.futures", "html.parser", "_markupbase")
 # Modules an offline start has no use for: dataclass machinery (which pulls in
-# inspect), snapshot timestamps, and the live sources' own modules.
+# inspect), snapshot timestamps, the WNDB cache's hashing, and the live
+# sources' own modules.
 UNUSED_OFFLINE_MODULES = (
     "dataclasses",
     "inspect",
     "datetime",
     "html",
+    "hashlib",
     "lexgender.providers.httpdict",
     "lexgender.providers.htmlextract",
+    "lexgender.providers.wndb_cache",
 )
 
 

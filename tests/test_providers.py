@@ -2,6 +2,7 @@ import json
 import os
 import re
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import unquote
@@ -345,12 +346,27 @@ def test_cache_entry_schema_matches_snapshot_entry(tmp_path):
     assert entry == {"found": True, "definitions": ["a woman belonging to a religious order"]}
 
 
+class SlowSession(StubSession):
+    """A stub whose every response takes ``delay`` seconds, as a network round trip would."""
+
+    def __init__(self, pages, delay):
+        super().__init__(pages)
+        self.delay = delay
+
+    def get(self, url, headers=None, timeout=None):
+        time.sleep(self.delay)
+        return super().get(url, headers, timeout)
+
+
 def test_concurrent_lookups_share_cache(tmp_path):
-    session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
+    # four callers miss on one word at once: one request, and every caller gets its entry
+    session = SlowSession({"nun": _mw_page("a woman belonging to a religious order")}, delay=0.05)
     provider = _live(tmp_path, session)
+    start = threading.Barrier(4)
     results = []
 
     def work():
+        start.wait()
         results.append(provider.lookup("nun"))
 
     threads = [threading.Thread(target=work) for _ in range(4)]
@@ -358,7 +374,8 @@ def test_concurrent_lookups_share_cache(tmp_path):
         thread.start()
     for thread in threads:
         thread.join()
-    assert all(r.definitions == ("a woman belonging to a religious order",) for r in results)
+    assert session.calls == 1 and provider.request_count == 1
+    assert [r.definitions for r in results] == [("a woman belonging to a religious order",)] * 4
 
 
 def test_lookup_precondition():

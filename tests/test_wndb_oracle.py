@@ -4,16 +4,20 @@ The oracle below is the loader as it was before ``index.noun`` was
 resolved against the glosses in the same pass: parse ``data.noun``, parse
 ``index.noun`` into lemma -> offsets, then join. Both must build the same
 index, and a malformed database must fail with the same message, which
-names the file and line. There are two intended differences, where the
+names the file and line. There are three intended differences, where the
 oracle took lines that the loader rejects: numeric ``index.noun`` fields
-must be ASCII digits, where the oracle took anything ``int()`` takes, and
-an ``index.noun`` line must have exactly the fields its counts call for,
+must be ASCII digits, where the oracle took anything ``int()`` takes; an
+``index.noun`` line must have exactly the fields its counts call for,
 where the oracle ignored fields after the offsets and let a sense-less
-line end after ``sense_cnt``.
+line end after ``sense_cnt``; and a ``data.noun`` record head must have
+a decimal ``lex_filenum`` and ``p_cnt``, a hexadecimal ``w_cnt`` and
+exactly the fields they call for, where the oracle read only the offset
+and ``ss_type``.
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +25,8 @@ from hypothesis import strategies as st
 
 from lexgender.data import wndb_dir
 from lexgender.errors import DataFormatError, open_utf8
-from lexgender.providers import load_noun_index
-from lexgender.providers.wndb import FIELD_COUNT_MESSAGE
+from lexgender.providers import load_noun_index, wndb, wndb_cache
+from lexgender.providers.wndb import FIELD_COUNT_MESSAGE, HEAD_MESSAGE
 
 DIGITS_MESSAGE = "numeric fields must be ASCII digits"
 
@@ -99,6 +103,11 @@ def _outcome(load, directory):
         return ("error", prefix, int(line) if line else None, message)
 
 
+def _position(error) -> tuple[bool, int]:
+    """Where an error outcome stopped: data.noun is read to the end before index.noun."""
+    return (error[1].startswith("index.noun"), error[2])
+
+
 def test_bundled_db_matches_oracle():
     assert load_noun_index(wndb_dir()) == oracle_load_noun_index(wndb_dir())
 
@@ -163,22 +172,44 @@ def _databases(draw):
     return data, index
 
 
+def _write_db(directory: Path, db) -> None:
+    data, index = db
+    (directory / "data.noun").write_text("".join(f"{line}\n" for line in data), encoding="utf-8")
+    (directory / "index.noun").write_text("".join(f"{line}\n" for line in index), encoding="utf-8")
+
+
 @settings(max_examples=400, deadline=None)
 @given(_databases())
 @example((["1 18 n 01 w 0 000 | a fruit"], ["apple n 1 0 1 0 7", "nun n 1 0 1 0 8"]))  # two dangle
 def test_generated_db_matches_oracle(db):
-    data, index = db
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        (directory / "data.noun").write_text("".join(f"{line}\n" for line in data), encoding="utf-8")
-        (directory / "index.noun").write_text("".join(f"{line}\n" for line in index), encoding="utf-8")
+        _write_db(directory, db)
         new = _outcome(load_noun_index, directory)
         old = _outcome(oracle_load_noun_index, directory)
-    if new[0] == "error" and new[3] in (DIGITS_MESSAGE, FIELD_COUNT_MESSAGE):
+    if new[0] == "error" and new[3] in (DIGITS_MESSAGE, FIELD_COUNT_MESSAGE, HEAD_MESSAGE):
         # the oracle took this line: it loads, or fails later or at the join
-        assert old[0] == "ok" or old[2] is None or old[2] >= new[2]
+        assert old[0] == "ok" or old[2] is None or _position(old) >= _position(new)
     else:
         assert old == new
+
+
+@settings(max_examples=200, deadline=None)
+@given(_databases())
+def test_second_load_reads_the_cache(db):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        _write_db(directory, db)
+        first = _outcome(load_noun_index, directory)
+        cached = (directory / wndb_cache.CACHE_FILE).exists()
+        if first[0] == "ok":
+            with mock.patch.object(wndb, "_parse_noun_index", side_effect=AssertionError("parsed again")):
+                second = _outcome(load_noun_index, directory)
+            assert cached and first == second == _outcome(oracle_load_noun_index, directory)
+        else:
+            assert not cached and _outcome(load_noun_index, directory) == first
+        names = sorted(path.name for path in directory.iterdir())
+        assert names == ["data.noun", "index.noun"] + [wndb_cache.CACHE_FILE] * cached  # no temp file left
 
 
 @pytest.mark.parametrize(
@@ -239,3 +270,49 @@ def test_index_field_count_must_match_counts(tmp_path, line):
     assert "apple" in oracle_load_noun_index(tmp_path)
     with pytest.raises(DataFormatError, match=f"^index\\.noun:1: {FIELD_COUNT_MESSAGE}$"):
         load_noun_index(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "00000001 x n y | a fruit",
+        "00000001 \u0661\u0668 n 01 w 0 000 | a fruit",
+        "00000001 18 n +1 w 0 000 | a fruit",
+        "00000001 18 n 0x1 w 0 000 | a fruit",
+        "00000001 18 n 0g w 0 000 | a fruit",
+        "00000001 18 n 01 w 0 +0 | a fruit",
+        "00000001 18 n 01 w 0 00\u00b2 | a fruit",
+        "00000001 18 n 01 w 000 | a fruit",
+        "00000001 18 n 01 w 0 v 0 000 | a fruit",
+        "00000001 18 n 02 w 0 000 | a fruit",
+        "00000001 18 n 01 w 0 001 @ 00000001 n | a fruit",
+        "00000001 18 n 01 w 0 000 @ | a fruit",
+    ],
+    ids=[
+        "no-counts",
+        "lex_filenum-arabic-indic",
+        "w_cnt-sign",
+        "w_cnt-0x-prefix",
+        "w_cnt-not-hex",
+        "p_cnt-sign",
+        "p_cnt-superscript",
+        "word-without-lex_id",
+        "extra-word",
+        "missing-word",
+        "short-pointer",
+        "extra-field",
+    ],
+)
+def test_data_record_head_must_match_counts(tmp_path, record):
+    (tmp_path / "data.noun").write_text(f"  1 header\n{record}\n", encoding="utf-8")
+    (tmp_path / "index.noun").write_text("apple n 1 0 1 0 00000001\n", encoding="utf-8")
+    assert oracle_load_noun_index(tmp_path)["apple"] == ("a fruit",)
+    with pytest.raises(DataFormatError, match=f"^data\\.noun:2: {HEAD_MESSAGE}$"):
+        load_noun_index(tmp_path)
+
+
+def test_hex_word_count_reads_its_words(tmp_path):
+    words = " ".join(f"w{i} 0" for i in range(10))
+    (tmp_path / "data.noun").write_text(f"00000001 18 n 0A {words} 000 | a fruit\n", encoding="utf-8")
+    (tmp_path / "index.noun").write_text("apple n 1 0 1 0 00000001\n", encoding="utf-8")
+    assert load_noun_index(tmp_path) == {"apple": ("a fruit",)}
