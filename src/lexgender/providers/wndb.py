@@ -40,10 +40,6 @@ HEAD_MESSAGE = "record head disagrees with its lex_filenum, w_cnt and p_cnt"
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
-def _is_digits(field: str) -> bool:
-    return field.isascii() and field.isdigit()
-
-
 def _parse_data_noun(path: Path) -> dict[int, str]:
     """Map synset offset -> gloss text for every noun synset record."""
     glosses: dict[int, str] = {}
@@ -55,16 +51,17 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
             if bar < 0:
                 raise DataFormatError(f"{path.name}:{lineno}: record has no gloss separator")
             fields = line[:bar].split()
-            if len(fields) < 4 or not _is_digits(fields[0]):
+            if len(fields) < 4 or not (fields[0].isascii() and fields[0].isdigit()):
                 raise DataFormatError(f"{path.name}:{lineno}: malformed synset record")
             if fields[2] != "n":
                 raise DataFormatError(f"{path.name}:{lineno}: not a noun synset ({fields[2]!r})")
             w_cnt = fields[3]
-            p_at = 4 + 2 * int(w_cnt, 16) if w_cnt and not w_cnt.strip(_HEX_DIGITS) else len(fields)
+            p_at = 4 + 2 * int(w_cnt, 16) if not w_cnt.strip(_HEX_DIGITS) else 0
+            # lex_filenum and p_cnt joined, so that one isascii and one isdigit check both
+            numbers = fields[1] + fields[p_at] if 4 <= p_at < len(fields) else ""
             if not (
-                _is_digits(fields[1])
-                and p_at < len(fields)
-                and _is_digits(fields[p_at])
+                numbers.isascii()
+                and numbers.isdigit()
                 and len(fields) == p_at + 1 + 4 * int(fields[p_at])
             ):
                 raise DataFormatError(f"{path.name}:{lineno}: {HEAD_MESSAGE}")

@@ -10,7 +10,9 @@ file, whatever its size and mtime, another interpreter, or any change to
 the parsing rules or the layout makes the cache stale. A cache whose key
 differs, or whose records fail any check, is never read: the text files
 are parsed and, once the parse has passed every check, the cache is
-rewritten. A directory that cannot be written is parsed on every load.
+rewritten. A directory that cannot be written and holds no cache is
+parsed on every load, without hashing anything. A cache is read only if
+no one but this user or the owner of ``data.noun`` can have written it.
 
 Layout: magic, key, the numbers of gloss and of lemma records (4-byte
 little-endian), then each record as its 4-byte length, its ``marshal``
@@ -43,13 +45,17 @@ Index = dict[str, tuple[str, ...]]
 
 def load_cached(directory: Path) -> Index:
     """The index of the WNDB in ``directory``: from its cache, or parsed and then cached."""
+    path = directory / CACHE_FILE
+    writable = os.access(directory, os.W_OK)
+    if not writable and not path.exists():
+        return wndb._parse_noun_index(directory)  # no cache to read or to write: no key to hash
     key = cache_key(directory)
-    index = read_cache(directory / CACHE_FILE, key)
+    index = read_cache(path, key)
     if index is None:
         index = wndb._parse_noun_index(directory)
-        # a read-only directory skips the work; the files must not have changed while parsed
-        if key is not None and os.access(directory, os.W_OK) and cache_key(directory) == key:
-            write_cache(directory / CACHE_FILE, key, *cache_records(index))
+        # the files must not have changed while they were parsed
+        if key is not None and writable and cache_key(directory) == key:
+            write_cache(path, key, *cache_records(index))
     return index
 
 
@@ -107,7 +113,8 @@ def write_cache(path: Path, key: bytes, gloss_records: list, lemma_records: list
                 frame = len(data).to_bytes(4, "little") + data
                 running.update(frame)
                 fh.write(frame + running.digest())
-        os.chmod(tmp, 0o644)  # mkstemp makes it private; the cache is as public as the database
+        # mkstemp makes it private; it takes the read bits of the database it copies
+        os.chmod(tmp, os.stat(path.parent / wndb.DATA_FILE).st_mode & 0o644)
         os.replace(tmp, path)
     except BaseException as exc:
         os.unlink(tmp)
@@ -121,18 +128,33 @@ def read_cache(path: Path, key: bytes | None) -> Index | None:
         return None
     try:
         with open(path, "rb") as fh:
-            return _read_records(fh, key)
+            st = os.fstat(fh.fileno())
+            if not _trusted(st, path.parent):
+                return None
+            return _read_records(fh, key, st.st_size)
     except (OSError, EOFError, ValueError, TypeError):
         return None
 
 
-def _read_records(fh, key: bytes) -> Index | None:
+def _trusted(st: os.stat_result, directory: Path) -> bool:
+    """Whether only this user or the database's owner can have written the cache ``st``.
+
+    The digests catch damage, not a crafted file, and ``marshal`` is not
+    safe for crafted input. Where there are no owners to check, no cache is
+    trusted.
+    """
+    if not hasattr(os, "getuid") or st.st_mode & 0o022:  # group- or world-writable
+        return False
+    return st.st_uid in (os.getuid(), os.stat(directory / wndb.DATA_FILE).st_uid)
+
+
+def _read_records(fh, key: bytes, size: int) -> Index | None:
     """Check each record's running digest, then unmarshal it and check its contents."""
     head = fh.read(len(_MAGIC) + len(key) + 8)
     if head[:-8] != _MAGIC + key:
         return None
     running = hashlib.sha256(head[len(_MAGIC) :])
-    left = os.fstat(fh.fileno()).st_size - len(head)
+    left = size - len(head)
 
     def records(count: int):
         nonlocal left

@@ -237,6 +237,61 @@ def test_read_only_directory_loads_without_a_cache(db, monkeypatch):
         db.chmod(0o755)
 
 
+def _deny_writes(monkeypatch, directory: Path) -> None:
+    """Make ``os.access`` report ``directory`` as read-only, whoever runs the tests."""
+    access = os.access
+
+    def fake(path, mode, *args, **kwargs):
+        if mode & os.W_OK and Path(path) == directory:
+            return False
+        return access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", fake)
+
+
+def test_read_only_directory_without_a_cache_is_parsed_without_hashing(db, monkeypatch):
+    _deny_writes(monkeypatch, db)
+    monkeypatch.setattr(wndb_cache, "cache_key", mock.Mock(side_effect=AssertionError("hashed")))
+    assert load_noun_index(db) == _parsed(db)
+    assert _names(db) == ["data.noun", "index.noun"]
+
+
+def test_read_only_directory_with_a_cache_reads_it(db, monkeypatch):
+    fresh = load_noun_index(db)
+    _deny_writes(monkeypatch, db)
+    with mock.patch.object(wndb, "_parse_noun_index", side_effect=AssertionError("parsed again")):
+        assert load_noun_index(db) == fresh
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o444], ids=oct)
+def test_cache_is_no_more_readable_than_the_database(db, mode):
+    (db / "data.noun").chmod(mode)
+    load_noun_index(db)
+    assert (db / CACHE).stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize("mode", [0o664, 0o646, 0o666], ids=oct)
+def test_cache_writable_by_others_is_ignored_and_rewritten(db, mode):
+    fresh = load_noun_index(db)
+    (db / CACHE).chmod(mode)
+    assert _cached(db) is None
+    assert load_noun_index(db) == fresh
+    assert (db / CACHE).stat().st_mode & 0o777 == 0o644 and _cached(db) == fresh
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="giving a file away needs root")
+def test_cache_owned_by_neither_this_user_nor_the_database_owner_is_ignored(db):
+    fresh = load_noun_index(db)
+    stranger = 4242
+    os.chown(db / CACHE, stranger, -1)
+    assert _cached(db) is None
+    assert load_noun_index(db) == fresh and (db / CACHE).stat().st_uid == os.getuid()
+    # the database's owner may have written it
+    os.chown(db / CACHE, stranger, -1)
+    os.chown(db / "data.noun", stranger, -1)
+    assert _cached(db) == fresh
+
+
 def test_failed_write_leaves_no_temp_file(db, monkeypatch):
     def refuse(*args):
         raise OSError(28, "No space left on device")
