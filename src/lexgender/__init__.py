@@ -13,7 +13,6 @@ from .classifier import (
     count_gendered,
     count_hits,
     seed_hits,
-    seed_shortcut,
     suffix_heuristic,
     tokenize,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "grid_search",
     "load_gold",
     "seed_hits",
-    "seed_shortcut",
     "suffix_heuristic",
     "tokenize",
 ]

@@ -92,11 +92,6 @@ def tokenize(definition: str) -> list[str]:
     return tokens
 
 
-def seed_shortcut(word: str, lexicon: SeedLexicon) -> GenderLabel | None:
-    """Immediate gender for a word that is itself a seed form or its plural."""
-    return lexicon.shortcut_label(word)
-
-
 def suffix_heuristic(word: str) -> GenderLabel | None:
     """Morphological call on the word's ending, if any.
 
@@ -228,7 +223,7 @@ def resolve(
     if not normalized:
         raise ValueError("classify requires a non-empty word")
 
-    label = seed_shortcut(normalized, lexicon)
+    label = lexicon.shortcut_label(normalized)
     if label is not None:
         return normalized, ROUTE_SEED, label, ()
     label = suffix_heuristic(normalized)

@@ -249,13 +249,13 @@ def _cmd_evaluate(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
-    """Accepts '2..10' or a comma list '5,10,15'."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(","))
+def _parse_range(text: str) -> range | tuple[int, ...]:
+    """Accepts '2..10' (kept as a ``range``) or a comma list '5,10,15'."""
+    lo, dots, hi = text.strip().partition("..")
+    try:
+        return range(int(lo), int(hi) + 1) if dots else tuple(int(part) for part in lo.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid range {text!r}: expected LO..HI or a comma list") from None
 
 
 def _cmd_grid_search(args, parser: _Parser) -> int:
@@ -265,9 +265,9 @@ def _cmd_grid_search(args, parser: _Parser) -> int:
     result = grid_search(
         gold,
         providers,
-        d_range=_parse_range(args.d_range),
-        t_range=_parse_range(args.t_range),
-        w_range=_parse_range(args.w_range),
+        d_range=args.d_range,
+        t_range=args.t_range,
+        w_range=args.w_range,
     )
     if args.format == "json":
         print(
@@ -358,9 +358,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid-search", help="search (d, t, w) for best combined accuracy")
     p.add_argument("--gold", metavar="FILE", help="gold TSV (default: bundled list)")
-    p.add_argument("--d-range", default="2..10", help="definitions range (default 2..10)")
-    p.add_argument("--t-range", default="5,10,15,20,25,30,35", help="token range")
-    p.add_argument("--w-range", default="2..8", help="seed-pair range (default 2..8)")
+    p.add_argument("--d-range", type=_parse_range, default="2..10", help="definitions range (default 2..10)")
+    p.add_argument("--t-range", type=_parse_range, default="5,10,15,20,25,30,35", help="token range")
+    p.add_argument("--w-range", type=_parse_range, default="2..8", help="seed-pair range (default 2..8)")
     _provider_options(p)
     p.set_defaults(func=_cmd_grid_search)
 

@@ -256,6 +256,10 @@ class GridSearchResult(NamedTuple):
     table: dict[tuple[int, int, int], float]
 
 
+#: Most cells one grid search scores; the default grid has 441.
+MAX_GRID_CELLS = 100_000
+
+
 def grid_search(
     gold: Sequence[GoldEntry],
     providers: Sequence[Provider],
@@ -268,27 +272,35 @@ def grid_search(
 
     Requires deterministic providers (snapshots or database files) so the
     search is reproducible; live providers are rejected. Ties are broken
-    toward the lexicographically smallest (d, t, w).
+    toward the lexicographically smallest (d, t, w). A grid of more than
+    ``MAX_GRID_CELLS`` cells is rejected.
 
     Every distinct gold word is routed, looked up and tokenized once, before
-    the cells: its seed hits in each source answer every cell, which then
-    only filters hits, votes and scores. Each cell's accuracy equals
+    the cells, and votes once per distinct set of its seed hits that cells
+    admit; a cell counts the gold rows its votes get right. Its accuracy equals
     ``evaluate_results(classify_gold(gold, providers, cell), gold).accuracy``.
     """
+    from bisect import bisect_left
+    from itertools import product
+
     for provider in providers:
         if not provider.deterministic:
             raise ValueError(
                 f"grid search requires deterministic providers; "
                 f"{provider.provider_id!r} is live"
             )
-    cells = [
-        ClassifierParams(d=d, t=t, w=w)
-        for d in sorted(set(d_range))
-        for t in sorted(set(t_range))
-        for w in sorted(set(w_range))
+    axes = [  # ascending distinct values; a range (as the CLI passes) is not expanded
+        values if isinstance(values, range) and values.step > 0 else sorted(set(values))
+        for values in (d_range, t_range, w_range)
     ]
-    if not cells:
+    n_cells = len(axes[0]) * len(axes[1]) * len(axes[2])
+    if not n_cells:
         raise ValueError("empty grid: d, t and w ranges each need at least one value")
+    if n_cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {n_cells} cells exceeds the limit of {MAX_GRID_CELLS}")
+    cells = [ClassifierParams(*cell) for cell in product(*axes)]
+    if not gold:
+        raise ValueError("cannot evaluate against an empty gold list")
     if lexicon is None:
         lexicon = default_lexicon()
 
@@ -306,7 +318,10 @@ def grid_search(
 
     fixed: dict[str, GenderLabel] = {}
     counted: dict[str, tuple[tuple[SeedHit, ...] | None, ...]] = {}
+    tally: dict[str, dict[GenderLabel, int]] = {}  # gold may list a word more than once
     for entry in gold:
+        labels = tally.setdefault(entry.word, {})
+        labels[entry.label] = labels.get(entry.label, 0) + 1
         if entry.word in fixed or entry.word in counted:
             continue
         _, _, label, outcomes = resolve(entry.word, providers, lexicon, attempt)
@@ -317,15 +332,27 @@ def grid_search(
         else:
             fixed[entry.word] = label
 
+    # a cell admits the hits whose definition, token and pair indexes are among the
+    # first i, j and k distinct ones of the word: (i, j, k), yielded in cell order, keys its vote
+    words = []
+    for word, outcomes in counted.items():
+        definitions, tokens, pairs, _ = zip(*[hit for hits in outcomes if hits for hit in hits])
+        seen = [sorted(set(indexes)) for indexes in (definitions, tokens, pairs)]
+        keys = product(*[[bisect_left(s, value) for value in axis] for s, axis in zip(seen, axes)])
+        words.append((keys, {}, outcomes, tally[word]))
+
     table: dict[tuple[int, int, int], float] = {}
-    best = cells[0]
-    best_accuracy = -1.0
+    best, best_correct = cells[0], -1
+    correct_fixed = sum(tally[word].get(label, 0) for word, label in fixed.items())
     for params in cells:
-        predictions = dict(fixed)
-        for word, outcomes in counted.items():
-            predictions[word] = vote(outcomes, params)
-        accuracy = _score(predictions, gold).accuracy
-        table[(params.d, params.t, params.w)] = accuracy
-        if accuracy > best_accuracy:
-            best, best_accuracy = params, accuracy
-    return GridSearchResult(best=best, best_accuracy=best_accuracy, table=table)
+        correct = correct_fixed
+        for keys, memo, outcomes, labels in words:
+            key = next(keys)
+            label = memo.get(key)
+            if label is None:
+                label = memo[key] = vote(outcomes, params)
+            correct += labels.get(label, 0)
+        table[(params.d, params.t, params.w)] = correct / len(gold)
+        if correct > best_correct:
+            best, best_correct = params, correct
+    return GridSearchResult(best=best, best_accuracy=best_correct / len(gold), table=table)

@@ -16,7 +16,6 @@ from lexgender.classifier import (
     count_gendered,
     count_hits,
     seed_hits,
-    seed_shortcut,
     suffix_heuristic,
     tokenize,
 )
@@ -115,7 +114,7 @@ def test_strip_punctuation_matches_naive(word):
     ],
 )
 def test_seed_shortcut(word, expected):
-    assert seed_shortcut(word, LEXICON) == expected
+    assert LEXICON.shortcut_label(word) == expected
 
 
 # --- suffix heuristic -------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from lexgender.cli import main
+from lexgender.cli import _parse_range, main
 from lexgender.data import gold_path, snapshot_path, toy_corpus_path, wndb_dir
 from lexgender.providers import cache_file
 
@@ -213,6 +213,20 @@ def test_grid_search_empty_range_exits_1(capsys):
     assert code == 1
     assert "empty grid" in err
     assert "Traceback" not in err and not out
+
+
+@pytest.mark.parametrize("option, value", [("--d-range", "x..3"), ("--t-range", "5,,10")])
+def test_grid_search_bad_range_names_its_option(capsys, option, value):
+    code, out, err = run(capsys, "grid-search", option, value)
+    assert code == 1
+    assert f"argument {option}: invalid range {value!r}" in err
+    assert "Traceback" not in err and not out
+
+
+def test_grid_search_span_range_is_not_expanded():
+    # a huge --d-range reaches grid_search's cell limit without building its values
+    assert _parse_range("2..10") == range(2, 11)
+    assert _parse_range("5,10,15") == (5, 10, 15)
 
 
 @pytest.mark.parametrize(

@@ -288,6 +288,20 @@ def test_grid_search_tie_break_lexicographic():
     assert (result.best.d, result.best.t, result.best.w) == (2, 5, 2)
 
 
+class Recording:
+    """Deterministic source that has no word and records every lookup."""
+
+    provider_id = "p"
+    deterministic = True
+
+    def __init__(self):
+        self.lookups = []
+
+    def lookup(self, word):
+        self.lookups.append(word)
+        return None
+
+
 @pytest.mark.parametrize(
     "ranges",
     [
@@ -297,20 +311,27 @@ def test_grid_search_tie_break_lexicographic():
     ],
 )
 def test_grid_search_empty_range_rejected_before_lookup(ranges):
-    class Recording:
-        provider_id = "p"
-        deterministic = True
-
-        def __init__(self):
-            self.lookups = []
-
-        def lookup(self, word):
-            self.lookups.append(word)
-            return None
-
     provider = Recording()
     gold = [GoldEntry("nurse", NEUT, "occupation")]
     with pytest.raises(ValueError, match="empty grid"):
+        grid_search(gold, [provider], **ranges)
+    assert provider.lookups == []
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        ({"d_range": [0]}, "d must be >= 1"),
+        ({"t_range": [0]}, "t must be >= 1"),
+        ({"w_range": [9]}, "w must be in 1..8"),
+        ({"d_range": range(1, 10**4), "t_range": range(1, 10**4)}, "grid of 699860007 cells exceeds"),
+        ({"d_range": list(range(1, 10**4)), "t_range": range(1, 10**4)}, "grid of 699860007 cells exceeds"),
+    ],
+)
+def test_grid_search_bad_range_rejected_before_lookup(ranges, message):
+    provider = Recording()
+    gold = [GoldEntry("nurse", NEUT, "occupation")]
+    with pytest.raises(ValueError, match=message):
         grid_search(gold, [provider], **ranges)
     assert provider.lookups == []
 
@@ -370,9 +391,9 @@ table_st = st.dictionaries(st.sampled_from(TABLE_KEYS), definitions_st)
 def test_grid_cells_match_classify_and_evaluate(
     must, extra, labels, alpha, beta, only_alpha, d_range, t_range, w_range
 ):
-    words = list(must) + extra
-    label_of = dict(zip(dict.fromkeys(words), labels))
-    gold = [GoldEntry(word, label_of[word], "misc") for word in words]
+    # every word listed at least twice, each row with its own label
+    words = list(must) + extra + list(must)
+    gold = [GoldEntry(word, label, "misc") for word, label in zip(words, labels)]
     providers = [
         TableProvider("alpha", {**alpha, "onlyalpha": only_alpha}),
         TableProvider("beta", beta),
