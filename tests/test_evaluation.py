@@ -391,7 +391,7 @@ table_st = st.dictionaries(st.sampled_from(TABLE_KEYS), definitions_st)
 def test_grid_cells_match_classify_and_evaluate(
     must, extra, labels, alpha, beta, only_alpha, d_range, t_range, w_range
 ):
-    # every word listed at least twice, each row with its own label
+    # every route word listed at least twice, each gold row with its own label
     words = list(must) + extra + list(must)
     gold = [GoldEntry(word, label, "misc") for word, label in zip(words, labels)]
     providers = [
