@@ -25,7 +25,6 @@ from .core import (
 )
 from .errors import DataFormatError, LexgenderError, TransportError
 from .evaluation import (
-    EvalReport,
     GoldEntry,
     GridSearchResult,
     Metrics,
@@ -41,7 +40,6 @@ __all__ = [
     "ClassificationResult",
     "ClassifierParams",
     "DataFormatError",
-    "EvalReport",
     "GenderLabel",
     "GoldEntry",
     "GridSearchResult",

@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _provider_options(parser: argparse.ArgumentParser) -> None:
+def _source_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("dictionaries")
     group.add_argument(
         "--wordnet",
@@ -84,18 +84,23 @@ def _provider_options(parser: argparse.ArgumentParser) -> None:
         help="forbid live sources; with no other dictionary options, use the bundled snapshots",
     )
 
+
+def _param_options(parser: argparse.ArgumentParser) -> None:
     tuning = parser.add_argument_group("classifier parameters")
     tuning.add_argument("-d", type=int, default=4, help="definitions per dictionary (default 4)")
     tuning.add_argument("-t", type=int, default=20, help="tokens per definition (default 20)")
     tuning.add_argument("-w", type=int, default=5, help="seed pairs used (default 5)")
 
+
+def _format_option(parser: argparse.ArgumentParser, *formats: str) -> None:
     parser.add_argument(
-        "--format",
-        choices=["table", "json", "tsv"],
-        default="table",
-        help="output format (default table)",
+        "--format", choices=formats, default="table", help="output format (default table)"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent classifications")
+
+
+def _word_options(parser: argparse.ArgumentParser, words_help: str) -> None:
+    parser.add_argument("words", nargs="*", help=words_help)
+    parser.add_argument("--words-from", metavar="FILE", help="file with one word per line (or gold TSV)")
 
 
 def _build_providers(args, parser: _Parser) -> list[Provider]:
@@ -181,24 +186,25 @@ def _classify_words(words: list[str], providers, params, jobs: int) -> list[Clas
     return [classify(word, providers, params, lexicon) for word in words]
 
 
-def _words_from_file(path: str) -> list[str]:
-    """Words from a plain list or from the first column of a gold-style TSV."""
-    words = []
-    with open_utf8(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            words.append(line.split("\t")[0].strip().lower())
+def _words(args, parser: _Parser) -> list[str]:
+    """The words given as arguments, then those of --words-from, lowercased.
+
+    That file is a plain list or a gold-style TSV, whose first column is read.
+    """
+    words = [w.strip().lower() for w in args.words]
+    if args.words_from:
+        with open_utf8(args.words_from) as fh:
+            for line in fh:
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    words.append(line.split("\t")[0].strip().lower())
+    if not words:
+        parser.error("no words given (pass words or --words-from)")
     return words
 
 
 def _cmd_classify(args, parser: _Parser) -> int:
-    words = [w.strip().lower() for w in args.words]
-    if args.words_from:
-        words.extend(_words_from_file(args.words_from))
-    if not words:
-        parser.error("no words given (pass words or --words-from)")
+    words = _words(args, parser)
     providers = _build_providers(args, parser)
     results = _classify_words(words, providers, _params(args), args.jobs)
     _print_results(results, args.format)
@@ -220,8 +226,6 @@ def _metrics_lines(name: str, metrics) -> list[str]:
 
 def _cmd_evaluate(args, parser: _Parser) -> int:
     providers = _build_providers(args, parser)
-    if args.strict_repro and any(not p.deterministic for p in providers):
-        parser.error("--strict-repro requires deterministic (snapshot/wordnet) sources")
     gold_file = args.gold or bundled.gold_path()
     gold = load_gold(gold_file)
     results = classify_gold(gold, providers, _params(args))
@@ -320,11 +324,7 @@ def _cmd_corpus_report(args, parser: _Parser) -> int:
 def _cmd_snapshot(args, parser: _Parser) -> int:
     providers = _build_providers(args, parser)
     source = providers[0]
-    words = [w.strip().lower() for w in args.words]
-    if args.words_from:
-        words.extend(_words_from_file(args.words_from))
-    if not words:
-        parser.error("no words given (pass words or --words-from)")
+    words = _words(args, parser)
     snapshot = snapshot_write(source, words, args.out)
     print(f"captured {len(snapshot['entries'])} entries from {source.provider_id} to {args.out}")
     return EXIT_OK
@@ -335,9 +335,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify words by lexical gender")
-    p.add_argument("words", nargs="*", help="target words")
-    p.add_argument("--words-from", metavar="FILE", help="file with one word per line (or gold TSV)")
-    _provider_options(p)
+    _word_options(p, "target words")
+    _source_options(p)
+    _param_options(p)
+    _format_option(p, "table", "json", "tsv")
+    p.add_argument("--jobs", type=int, default=1, help="concurrent classifications")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("evaluate", help="score against a gold list")
@@ -348,12 +350,9 @@ def build_parser() -> _Parser:
         action="store_true",
         help="score not-found predictions as neutral instead of as their own class",
     )
-    p.add_argument(
-        "--strict-repro",
-        action="store_true",
-        help="refuse to run with live sources",
-    )
-    _provider_options(p)
+    _source_options(p)
+    _param_options(p)
+    _format_option(p, "table", "json", "tsv")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("grid-search", help="search (d, t, w) for best combined accuracy")
@@ -361,20 +360,22 @@ def build_parser() -> _Parser:
     p.add_argument("--d-range", type=_parse_range, default="2..10", help="definitions range (default 2..10)")
     p.add_argument("--t-range", type=_parse_range, default="5,10,15,20,25,30,35", help="token range")
     p.add_argument("--w-range", type=_parse_range, default="2..8", help="seed-pair range (default 2..8)")
-    _provider_options(p)
+    _source_options(p)
+    _format_option(p, "table", "json")
     p.set_defaults(func=_cmd_grid_search)
 
     p = sub.add_parser("corpus-report", help="gender composition of a tagged corpus")
     p.add_argument("tagged", help="token<TAB>POS file, blank line between sentences")
     p.add_argument("--sample-out", metavar="FILE", help="also write the gendered-noun sample")
-    _provider_options(p)
+    _source_options(p)
+    _param_options(p)
+    _format_option(p, "table", "json")
     p.set_defaults(func=_cmd_corpus_report)
 
     p = sub.add_parser("snapshot", help="freeze definitions from the first configured source")
-    p.add_argument("words", nargs="*", help="words to capture")
-    p.add_argument("--words-from", metavar="FILE", help="file with one word per line (or gold TSV)")
+    _word_options(p, "words to capture")
     p.add_argument("--out", required=True, metavar="FILE", help="snapshot file to write")
-    _provider_options(p)
+    _source_options(p)
     p.set_defaults(func=_cmd_snapshot)
 
     return parser

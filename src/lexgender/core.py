@@ -142,14 +142,9 @@ class SeedLexicon(_SeedLexicon):
     def __getnewargs__(self):  # for copy and pickle, which call __new__ with these
         return self[:2]
 
-    def truncated(self, w: int) -> tuple[SeedPair, ...]:
-        """First ``w`` pairs in rank order."""
+    def _forms(self, w: int, masculine: bool) -> frozenset[str]:
         if not 1 <= w <= len(self.pairs):
             raise ValueError(f"w must be in 1..{len(self.pairs)}, got {w}")
-        return self.pairs[:w]
-
-    def _forms(self, w: int, masculine: bool) -> frozenset[str]:
-        self.truncated(w)  # validates w
         return frozenset(
             form for form, (i, masc) in self.form_index.items() if i < w and masc is masculine
         )

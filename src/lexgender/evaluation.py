@@ -14,6 +14,7 @@ Scoring conventions:
 from __future__ import annotations
 
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classifier import (
@@ -54,7 +55,12 @@ class GoldEntry(NamedTuple):
 
 
 class Metrics(NamedTuple):
-    """Scores for one prediction set against the gold list."""
+    """Scores for one prediction set against the gold list.
+
+    ``per_provider`` is filled in only by ``evaluate_results``: the same
+    scores for each provider's own labels, keyed by provider id, plus a
+    "combined" entry mirroring the top-level numbers.
+    """
 
     n: int
     accuracy: float
@@ -62,9 +68,10 @@ class Metrics(NamedTuple):
     weighted_recall: float
     weighted_f1: float
     confusion: tuple[tuple[int, ...], ...]  # 3 gold rows x 4 predicted columns
+    per_provider: Mapping[str, Metrics] = MappingProxyType({})
 
     def to_dict(self) -> dict:
-        return {
+        report = {
             "n": self.n,
             "accuracy": self.accuracy,
             "weighted_precision": self.weighted_precision,
@@ -76,29 +83,10 @@ class Metrics(NamedTuple):
                 "rows": [list(row) for row in self.confusion],
             },
         }
-
-
-class EvalReport(NamedTuple):
-    """Combined metrics plus the same metrics per provider.
-
-    The first six fields are those of ``Metrics``. ``per_provider`` is keyed
-    by provider id and always contains a "combined" entry mirroring the
-    top-level numbers.
-    """
-
-    n: int
-    accuracy: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    confusion: tuple[tuple[int, ...], ...]
-    per_provider: dict[str, Metrics]
-
-    def to_dict(self) -> dict:
-        report = Metrics(*self[:6]).to_dict()
-        report["per_provider"] = {
-            name: metrics.to_dict() for name, metrics in self.per_provider.items()
-        }
+        if self.per_provider:
+            report["per_provider"] = {
+                name: metrics.to_dict() for name, metrics in self.per_provider.items()
+            }
         return report
 
 
@@ -140,11 +128,12 @@ def load_gold(path: str | Path) -> list[GoldEntry]:
     return entries
 
 
-def _score(
+def evaluate(
     predictions: Mapping[str, GenderLabel],
     gold: Sequence[GoldEntry],
     not_found_as_neut: bool = False,
 ) -> Metrics:
+    """Score a single word -> predicted-label mapping against the gold list."""
     if not gold:
         raise ValueError("cannot evaluate against an empty gold list")
     gold_index = {label: i for i, label in enumerate(GOLD_LABELS)}
@@ -185,16 +174,6 @@ def _score(
     )
 
 
-def evaluate(
-    predictions: Mapping[str, GenderLabel],
-    gold: Sequence[GoldEntry],
-    not_found_as_neut: bool = False,
-) -> EvalReport:
-    """Score a single word -> predicted-label mapping against the gold list."""
-    metrics = _score(predictions, gold, not_found_as_neut)
-    return EvalReport(*metrics, per_provider={"combined": metrics})
-
-
 def provider_predictions(
     results: Mapping[str, ClassificationResult], provider_id: str
 ) -> dict[str, GenderLabel]:
@@ -217,23 +196,16 @@ def evaluate_results(
     results: Mapping[str, ClassificationResult],
     gold: Sequence[GoldEntry],
     not_found_as_neut: bool = False,
-) -> EvalReport:
+) -> Metrics:
     """Score combined labels and each provider's own labels against gold."""
-    combined = _score(
-        {word: res.combined for word, res in results.items()}, gold, not_found_as_neut
-    )
-    per_provider: dict[str, Metrics] = {}
-    provider_ids: list[str] = []
-    for result in results.values():
-        for verdict in result.verdicts:
-            if verdict.provider_id not in provider_ids:
-                provider_ids.append(verdict.provider_id)
-    for provider_id in provider_ids:
-        per_provider[provider_id] = _score(
-            provider_predictions(results, provider_id), gold, not_found_as_neut
-        )
+    combined = evaluate({w: res.combined for w, res in results.items()}, gold, not_found_as_neut)
+    provider_ids = dict.fromkeys(v.provider_id for res in results.values() for v in res.verdicts)
+    per_provider = {
+        provider_id: evaluate(provider_predictions(results, provider_id), gold, not_found_as_neut)
+        for provider_id in provider_ids
+    }
     per_provider["combined"] = combined
-    return EvalReport(*combined, per_provider=per_provider)
+    return combined._replace(per_provider=MappingProxyType(per_provider))
 
 
 def classify_gold(

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from lexgender.cli import _parse_range, main
+from lexgender.cli import _parse_range, build_parser, main
 from lexgender.data import gold_path, snapshot_path, toy_corpus_path, wndb_dir
 from lexgender.providers import cache_file
 
@@ -179,16 +180,16 @@ def test_evaluate_malformed_gold_exits_3(capsys, tmp_path):
     assert "bad data" in err
 
 
-def test_evaluate_strict_repro_rejects_live(capsys, tmp_path):
-    code, _, err = run(
+def test_evaluate_offline_rejects_live(capsys, tmp_path):
+    code, out, err = run(
         capsys,
         "evaluate",
-        "--strict-repro",
+        "--offline",
         "--live", "merriam_webster",
         "--cache-root", str(tmp_path),
     )
     assert code == 1
-    assert "strict-repro" in err
+    assert "--offline forbids --live" in err and not out
 
 
 def test_grid_search_cli(capsys, tests_data):
@@ -366,6 +367,70 @@ def test_live_corrupt_cache_exits_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert "bad data" in err and "'nun'" in err
     assert not out
+
+
+SOURCE_OPTIONS = ("--wordnet", "--snapshot", "--live", "--cache-root", "--min-interval", "--offline")
+#: Every option each subcommand takes; each one is read by its handler.
+SUBCOMMAND_OPTIONS = {
+    "classify": [
+        "words", "--words-from", *SOURCE_OPTIONS, "-d", "-t", "-w", "--format", "--jobs",
+    ],
+    "evaluate": [
+        "--gold", "--out", "--not-found-as-neut", *SOURCE_OPTIONS, "-d", "-t", "-w", "--format",
+    ],
+    "grid-search": [
+        "--gold", "--d-range", "--t-range", "--w-range", *SOURCE_OPTIONS, "--format",
+    ],
+    "corpus-report": ["tagged", "--sample-out", *SOURCE_OPTIONS, "-d", "-t", "-w", "--format"],
+    "snapshot": ["words", "--words-from", "--out", *SOURCE_OPTIONS],
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        name: [
+            action.option_strings[0] if action.option_strings else action.dest
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        for name, parser in subparsers.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 58
+    formats = {
+        name: action.choices
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.dest == "format"
+    }
+    assert formats == {
+        "classify": ("table", "json", "tsv"),
+        "evaluate": ("table", "json", "tsv"),
+        "grid-search": ("table", "json"),
+        "corpus-report": ("table", "json"),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grid-search", "-d", "3"], "unrecognized arguments: -d 3"),
+        (["snapshot", "nun", "--out", "snap.json", "--format", "json"], "unrecognized arguments: --format"),
+        (["evaluate", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        (["corpus-report", str(toy_corpus_path()), "--format", "tsv"], "invalid choice: 'tsv'"),
+    ],
+    ids=["grid-search-d", "snapshot-format", "evaluate-jobs", "corpus-report-tsv"],
+)
+def test_unread_option_is_rejected(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert message in err
+    assert not out and not list(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_usage_error(capsys):

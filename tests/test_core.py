@@ -56,10 +56,12 @@ def test_no_form_repeats_across_pairs():
         assert pair.feminine != pair.masculine
 
 
-def test_truncation_preserves_rank_order():
+def test_form_sets_reject_w_outside_the_pairs():
     lexicon = default_lexicon()
-    for w in range(1, 9):
-        assert lexicon.truncated(w) == lexicon.pairs[:w]
+    with pytest.raises(ValueError, match="w must be in 1..8, got 0"):
+        lexicon.feminine_forms(0)
+    with pytest.raises(ValueError, match="w must be in 1..8, got 9"):
+        lexicon.masculine_forms(9)
 
 
 def test_form_sets_include_plurals():

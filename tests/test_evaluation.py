@@ -165,6 +165,17 @@ def test_per_provider_keys(gold, bundled_providers):
     assert report.per_provider["combined"].accuracy == report.accuracy
 
 
+def test_per_provider_map_is_read_only_and_written_only_when_filled(gold, bundled_providers):
+    single = evaluate({"a": MASC, "b": FEM, "c": NEUT, "d": MASC}, GOLD4)
+    assert single.per_provider == {} and "per_provider" not in single.to_dict()
+    report = evaluate_results(classify_gold(gold, bundled_providers), gold)
+    assert report.per_provider["combined"] == report._replace(per_provider={})
+    assert report.to_dict()["per_provider"]["combined"] == report.per_provider["combined"].to_dict()
+    for metrics in (single, report):
+        with pytest.raises(TypeError):
+            metrics.per_provider["extra"] = single
+
+
 def test_provider_predictions_uses_heuristic_labels(bundled_providers):
     results = {
         "businessman": classify("businessman", bundled_providers),

@@ -8,7 +8,7 @@ import pytest
 from lexgender.classifier import ClassificationResult, ProviderVerdict, SeedHit
 from lexgender.core import ClassifierParams, GenderLabel, SeedLexicon, SeedPair, default_lexicon
 from lexgender.corpus import CompositionReport, NounRecord
-from lexgender.evaluation import EvalReport, GoldEntry, GridSearchResult, Metrics
+from lexgender.evaluation import GoldEntry, GridSearchResult, Metrics
 from lexgender.providers import DIALECTS, SITES, DefinitionSet
 
 _METRICS = Metrics(1, 1.0, 1.0, 1.0, 1.0, ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
@@ -26,7 +26,7 @@ VALUES = [
     NounRecord("nun", "NN", 1),
     GoldEntry("nun", GenderLabel.FEM, "religion"),
     _METRICS,
-    EvalReport(*_METRICS, per_provider={"combined": _METRICS}),
+    pytest.param(_METRICS._replace(per_provider={"combined": _METRICS}), id="Metrics-per_provider"),
     GridSearchResult(ClassifierParams(), 1.0, {(4, 20, 5): 1.0}),
     DIALECTS["mw"],
     SITES["merriam_webster"],
