@@ -44,6 +44,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Command(_Parser):
+    """A subcommand: words on both sides of options; its own usage on an error."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if namespace is None:  # called for the subcommand, not from inside the intermixed parse
+            return self.parse_intermixed_args(args, argparse.Namespace()), []
+        return super().parse_known_args(args, namespace)
+
+
 def _source_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("dictionaries")
     group.add_argument(
@@ -332,7 +341,7 @@ def _cmd_snapshot(args, parser: _Parser) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lexgender", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     p = sub.add_parser("classify", help="classify words by lexical gender")
     _word_options(p, "target words")
@@ -340,7 +349,7 @@ def build_parser() -> _Parser:
     _param_options(p)
     _format_option(p, "table", "json", "tsv")
     p.add_argument("--jobs", type=int, default=1, help="concurrent classifications")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, parser=p)
 
     p = sub.add_parser("evaluate", help="score against a gold list")
     p.add_argument("--gold", metavar="FILE", help="gold TSV (default: bundled list)")
@@ -353,7 +362,7 @@ def build_parser() -> _Parser:
     _source_options(p)
     _param_options(p)
     _format_option(p, "table", "json", "tsv")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, parser=p)
 
     p = sub.add_parser("grid-search", help="search (d, t, w) for best combined accuracy")
     p.add_argument("--gold", metavar="FILE", help="gold TSV (default: bundled list)")
@@ -362,7 +371,7 @@ def build_parser() -> _Parser:
     p.add_argument("--w-range", type=_parse_range, default="2..8", help="seed-pair range (default 2..8)")
     _source_options(p)
     _format_option(p, "table", "json")
-    p.set_defaults(func=_cmd_grid_search)
+    p.set_defaults(func=_cmd_grid_search, parser=p)
 
     p = sub.add_parser("corpus-report", help="gender composition of a tagged corpus")
     p.add_argument("tagged", help="token<TAB>POS file, blank line between sentences")
@@ -370,13 +379,13 @@ def build_parser() -> _Parser:
     _source_options(p)
     _param_options(p)
     _format_option(p, "table", "json")
-    p.set_defaults(func=_cmd_corpus_report)
+    p.set_defaults(func=_cmd_corpus_report, parser=p)
 
     p = sub.add_parser("snapshot", help="freeze definitions from the first configured source")
     _word_options(p, "words to capture")
     p.add_argument("--out", required=True, metavar="FILE", help="snapshot file to write")
     _source_options(p)
-    p.set_defaults(func=_cmd_snapshot)
+    p.set_defaults(func=_cmd_snapshot, parser=p)
 
     return parser
 
@@ -385,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # usage errors name the subcommand
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except TransportError as exc:

@@ -27,6 +27,7 @@ files; see ``wndb_cache``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from pathlib import Path
 
 from ..errors import DataFormatError, open_utf8
@@ -40,8 +41,8 @@ HEAD_MESSAGE = "record head disagrees with its lex_filenum, w_cnt and p_cnt"
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
-def _parse_data_noun(path: Path) -> dict[int, str]:
-    """Map synset offset -> gloss text for every noun synset record."""
+def _parse_data_noun(path: Path) -> tuple[dict[int, int], tuple[str, ...]]:
+    """Map synset offset -> gloss number, and the glosses so numbered, in file order."""
     glosses: dict[int, str] = {}
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -69,10 +70,34 @@ def _parse_data_noun(path: Path) -> dict[int, str]:
             if offset in glosses:
                 raise DataFormatError(f"{path.name}:{lineno}: duplicate synset offset {offset}")
             glosses[offset] = line[bar + 1 :].strip().rstrip(";").strip()
-    return glosses
+    return dict(zip(glosses, range(len(glosses)))), tuple(glosses.values())
 
 
-def load_noun_index(directory: str | Path) -> dict[str, tuple[str, ...]]:
+class NounIndex(Mapping):
+    """A read-only lemma -> ordered-gloss map over the compact parsed form.
+
+    ``lemmas`` maps each lemma, in ``index.noun`` order, to the number of its
+    one gloss in ``glosses``, or else to ``~i``: row ``i`` of ``senses`` holds
+    its gloss numbers in sense order.
+    """
+
+    __slots__ = ("glosses", "lemmas", "senses")
+
+    def __init__(self, glosses: tuple[str, ...], lemmas: dict[str, int], senses: tuple[tuple[int, ...], ...]):
+        self.glosses, self.lemmas, self.senses = glosses, lemmas, senses
+
+    def __getitem__(self, lemma: str) -> tuple[str, ...]:
+        ref, glosses = self.lemmas[lemma], self.glosses
+        return (glosses[ref],) if ref >= 0 else tuple(map(glosses.__getitem__, self.senses[~ref]))
+
+    def __iter__(self):
+        return iter(self.lemmas)
+
+    def __len__(self) -> int:
+        return len(self.lemmas)
+
+
+def load_noun_index(directory: str | Path) -> NounIndex:
     """The lemma -> ordered-gloss index of a WNDB directory, from its cache when valid.
 
     On a miss the text files are parsed, and only an index that passed every
@@ -83,10 +108,11 @@ def load_noun_index(directory: str | Path) -> dict[str, tuple[str, ...]]:
     return load_cached(Path(directory))
 
 
-def _parse_noun_index(directory: Path) -> dict[str, tuple[str, ...]]:
-    """Build the lemma -> ordered-gloss index from the text files."""
-    glosses = _parse_data_noun(directory / DATA_FILE)
-    index: dict[str, tuple[str, ...]] = {}
+def _parse_noun_index(directory: Path) -> NounIndex:
+    """Build the compact index from the text files."""
+    number_of, glosses = _parse_data_noun(directory / DATA_FILE)
+    lemmas: dict[str, int] = {}
+    senses: list[tuple[int, ...]] = []
     dangling = None  # first (lemma, offset) missing from data.noun, reported after the line checks
     with open_utf8(directory / INDEX_FILE) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -108,23 +134,24 @@ def _parse_noun_index(directory: Path) -> dict[str, tuple[str, ...]]:
                     short = synset_cnt and len(fields) < 6 + p_cnt + synset_cnt
                     raise ValueError("missing synset offsets" if short else FIELD_COUNT_MESSAGE)
                 if synset_cnt == 1:
-                    entry = (glosses[int(numbers[2])],)
+                    ref = number_of[int(numbers[2])]
                 else:
-                    entry = tuple(map(glosses.__getitem__, map(int, numbers[2:])))
+                    senses.append(tuple(map(number_of.__getitem__, map(int, numbers[2:]))))
+                    ref = -len(senses)  # ~(its row in senses)
             except (IndexError, ValueError) as exc:
                 raise DataFormatError(f"{INDEX_FILE}:{lineno}: {exc}") from exc
             except KeyError as exc:
                 dangling = dangling or (lemma, exc.args[0])
-                entry = ()
-            if lemma in index:
+                ref = 0
+            if lemma in lemmas:
                 raise DataFormatError(f"{INDEX_FILE}:{lineno}: duplicate lemma {lemma!r}")
-            index[lemma] = entry
+            lemmas[lemma] = ref
     if dangling is not None:
         raise DataFormatError(
             f"{INDEX_FILE}: lemma {dangling[0]!r} references offset {dangling[1]} "
             f"missing from {DATA_FILE}"
         )
-    return index
+    return NounIndex(glosses, lemmas, tuple(senses))
 
 
 class WordNetProvider:
@@ -141,14 +168,17 @@ class WordNetProvider:
     def __init__(self, directory: str | Path, provider_id: str = "wordnet"):
         self.provider_id = provider_id
         self.directory = Path(directory)
-        self._index = load_noun_index(self.directory)
+        index = load_noun_index(self.directory)
+        self._glosses, self._lemmas, self._senses = index.glosses, index.lemmas, index.senses
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._lemmas)
 
     def lookup(self, word: str) -> DefinitionSet | None:
         check_word(word)
-        glosses = self._index.get(word.replace(" ", "_"))
-        if glosses is None:
+        ref = self._lemmas.get(word.replace(" ", "_"))
+        if ref is None:
             return None
-        return DefinitionSet(word=word, provider_id=self.provider_id, definitions=glosses)
+        glosses = self._glosses
+        definitions = (glosses[ref],) if ref >= 0 else tuple(map(glosses.__getitem__, self._senses[~ref]))
+        return DefinitionSet(word, self.provider_id, definitions)

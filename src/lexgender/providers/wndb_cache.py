@@ -14,14 +14,14 @@ rewritten. A directory that cannot be written and holds no cache is
 parsed on every load, without hashing anything. A cache is read only if
 no one but this user or the owner of ``data.noun`` can have written it.
 
-Layout: magic, key, the numbers of gloss and of lemma records (4-byte
+Layout: magic, key, the numbers of gloss, sense and lemma records (4-byte
 little-endian), then each record as its 4-byte length, its ``marshal``
 bytes and the SHA-256 of the file from the key to the end of those bytes.
-Gloss records are tuples of the distinct glosses, numbered in order across
-records. Lemma records map each lemma, in ``index.noun`` order, to its
-gloss number, or to a tuple of them when it has other than one sense.
-Records are read one at a time, so a load holds one record's bytes, not
-the whole file.
+The records hold the three parts of ``wndb.NounIndex`` in pieces of at
+most ``_RECORD_ITEMS``: tuples of glosses, tuples of sense rows, and dicts
+of lemma refs. Each record is checked in bulk, by the types of its values
+and the range of its numbers, then appended. Records are read one at a
+time, so a load holds one record's bytes, not the whole file.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import marshal
 import os
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from . import wndb
@@ -38,12 +39,10 @@ from . import wndb
 CACHE_FILE = "lexgender-noun-index.cache"
 
 _MAGIC = b"lexgender noun index\n"
-_RECORD_ITEMS = 8192  # glosses or lemmas per record
-
-Index = dict[str, tuple[str, ...]]
+_RECORD_ITEMS = 8192  # glosses, sense rows or lemmas per record
 
 
-def load_cached(directory: Path) -> Index:
+def load_cached(directory: Path) -> wndb.NounIndex:
     """The index of the WNDB in ``directory``: from its cache, or parsed and then cached."""
     path = directory / CACHE_FILE
     writable = os.access(directory, os.W_OK)
@@ -80,39 +79,33 @@ def cache_key(directory: Path) -> bytes | None:
     return key.digest()
 
 
-def cache_records(index: Index) -> tuple[list[tuple], list[dict]]:
-    """The index as gloss records and lemma records."""
-    numbers: dict[str, int] = {}
-    refs = [
-        (lemma, numbers.setdefault(entry[0], len(numbers)))
-        if len(entry) == 1
-        else (lemma, tuple(numbers.setdefault(gloss, len(numbers)) for gloss in entry))
-        for lemma, entry in index.items()
-    ]
-    glosses = list(numbers)
+def cache_records(index: wndb.NounIndex) -> tuple[list[tuple], list[tuple], list[dict]]:
+    """The gloss, sense and lemma records of ``index``."""
+    lemmas = list(index.lemmas.items())
     return (
-        [tuple(glosses[i : i + _RECORD_ITEMS]) for i in range(0, len(glosses), _RECORD_ITEMS)],
-        [dict(refs[i : i + _RECORD_ITEMS]) for i in range(0, len(refs), _RECORD_ITEMS)],
+        [index.glosses[i : i + _RECORD_ITEMS] for i in range(0, len(index.glosses), _RECORD_ITEMS)],
+        [index.senses[i : i + _RECORD_ITEMS] for i in range(0, len(index.senses), _RECORD_ITEMS)],
+        [dict(lemmas[i : i + _RECORD_ITEMS]) for i in range(0, len(lemmas), _RECORD_ITEMS)],
     )
 
 
-def write_cache(path: Path, key: bytes, gloss_records: list, lemma_records: list) -> None:
-    """Write the records under ``key`` via temp file and rename; skipped if that fails."""
+def write_cache(path: Path, key: bytes, *parts: list) -> None:
+    """Write the records of each part under ``key`` via temp file and rename; skipped if that fails."""
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
     except OSError:
         return  # the directory cannot be written: it is parsed on every load
     try:
         with os.fdopen(fd, "wb") as fh:
-            head = key + len(gloss_records).to_bytes(4, "little")
-            head += len(lemma_records).to_bytes(4, "little")
+            head = key + b"".join(len(records).to_bytes(4, "little") for records in parts)
             running = hashlib.sha256(head)
             fh.write(_MAGIC + head)
-            for record in (*gloss_records, *lemma_records):
-                data = marshal.dumps(record)
-                frame = len(data).to_bytes(4, "little") + data
-                running.update(frame)
-                fh.write(frame + running.digest())
+            for records in parts:
+                for record in records:
+                    data = marshal.dumps(record)
+                    frame = len(data).to_bytes(4, "little") + data
+                    running.update(frame)
+                    fh.write(frame + running.digest())
         # mkstemp makes it private; it takes the read bits of the database it copies
         os.chmod(tmp, os.stat(path.parent / wndb.DATA_FILE).st_mode & 0o644)
         os.replace(tmp, path)
@@ -122,7 +115,7 @@ def write_cache(path: Path, key: bytes, gloss_records: list, lemma_records: list
             raise
 
 
-def read_cache(path: Path, key: bytes | None) -> Index | None:
+def read_cache(path: Path, key: bytes | None) -> wndb.NounIndex | None:
     """The index cached at ``path`` under ``key``, or None if it is missing, stale or malformed."""
     if key is None:
         return None
@@ -148,13 +141,22 @@ def _trusted(st: os.stat_result, directory: Path) -> bool:
     return st.st_uid in (os.getuid(), os.stat(directory / wndb.DATA_FILE).st_uid)
 
 
-def _read_records(fh, key: bytes, size: int) -> Index | None:
-    """Check each record's running digest, then unmarshal it and check its contents."""
-    head = fh.read(len(_MAGIC) + len(key) + 8)
-    if head[:-8] != _MAGIC + key:
+def _check_numbers(numbers, low: int, high: int) -> None:
+    """Raise ValueError unless every one of ``numbers`` is an int, not a bool, in ``range(low, high)``."""
+    if not set(map(type, numbers)) <= {int} or numbers and not low <= min(numbers) <= max(numbers) < high:
+        raise ValueError("bad gloss number")
+
+
+def _read_records(fh, key: bytes, size: int) -> wndb.NounIndex | None:
+    """Check each record's running digest, then unmarshal it and check its contents in bulk."""
+    head = fh.read(len(_MAGIC) + len(key) + 12)
+    if head[:-12] != _MAGIC + key:
         return None
     running = hashlib.sha256(head[len(_MAGIC) :])
     left = size - len(head)
+    gloss_records, sense_records, lemma_records = (
+        int.from_bytes(head[at : at + 4], "little") for at in range(len(head) - 12, len(head), 4)
+    )
 
     def records(count: int):
         nonlocal left
@@ -172,28 +174,24 @@ def _read_records(fh, key: bytes, size: int) -> Index | None:
             yield marshal.loads(data)
 
     glosses: list[str] = []
-    for record in records(int.from_bytes(head[-8:-4], "little")):
+    for record in records(gloss_records):
         if type(record) is not tuple or not set(map(type, record)) <= {str}:
             raise ValueError("bad gloss record")
         glosses.extend(record)
-    count = len(glosses)
-    index: Index = {}
-    lemmas = 0
-    for record in records(int.from_bytes(head[-4:], "little")):
+    senses: list[tuple[int, ...]] = []
+    for record in records(sense_records):
+        if type(record) is not tuple or not set(map(type, record)) <= {tuple}:
+            raise ValueError("bad sense record")
+        _check_numbers(list(chain.from_iterable(record)), 0, len(glosses))
+        senses.extend(record)
+    lemmas: dict[str, int] = {}
+    count = 0
+    for record in records(lemma_records):
         if type(record) is not dict or not set(map(type, record)) <= {str}:
             raise ValueError("bad lemma record")
-        lemmas += len(record)
-        for lemma, ref in record.items():
-            if type(ref) is int and 0 <= ref < count:
-                index[lemma] = (glosses[ref],)
-            elif (
-                type(ref) is tuple
-                and set(map(type, ref)) <= {int}
-                and all(0 <= number < count for number in ref)
-            ):
-                index[lemma] = tuple(map(glosses.__getitem__, ref))
-            else:
-                raise ValueError(f"bad gloss number for {lemma!r}")
-    if left or len(index) != lemmas:  # bytes after the last record, or a lemma in two records
+        _check_numbers(record.values(), -len(senses), len(glosses))  # ~row for a sense row
+        count += len(record)
+        lemmas.update(record)
+    if left or len(lemmas) != count:  # bytes after the last record, or a lemma in two records
         raise ValueError("bad cache layout")
-    return index
+    return wndb.NounIndex(tuple(glosses), lemmas, tuple(senses))

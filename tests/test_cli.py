@@ -436,3 +436,52 @@ def test_unread_option_is_rejected(capsys, tmp_path, monkeypatch, argv, message)
 def test_unknown_subcommand_usage_error(capsys):
     code = main(["frobnicate"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nun", "crew", "--format", "tsv"],
+        ["nun", "--format", "tsv", "crew"],
+        ["--format", "tsv", "nun", "crew"],
+        ["nun", "-d", "4", "--format", "tsv", "--offline", "crew"],
+    ],
+    ids=["words-first", "words-around-an-option", "words-last", "words-between-options"],
+)
+def test_classify_takes_words_on_both_sides_of_options(capsys, argv):
+    code, out, err = run(capsys, "classify", *argv)
+    assert code == 0, err
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["nun", "crew"]
+
+
+def test_snapshot_takes_words_on_both_sides_of_options(capsys, tmp_path):
+    out_file = tmp_path / "snap.json"
+    code, _, err = run(capsys, "snapshot", "nun", "--out", str(out_file), "monk", "--wordnet", "bundled", "qzxv")
+    assert code == 0, err
+    assert sorted(json.loads(out_file.read_text())["entries"]) == ["monk", "nun", "qzxv"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "nun", "--bogus", "crew"], "unrecognized arguments: --bogus"),
+        (["classify", "--format", "tsv"], "no words given"),
+        (["snapshot", "nun", "--out", "snap.json", "--format", "json"], "unrecognized arguments: --format"),
+        (["evaluate", "nun"], "unrecognized arguments: nun"),
+        (["grid-search", "-d", "3"], "unrecognized arguments: -d 3"),
+    ],
+    ids=["classify-unknown-option", "classify-no-words", "snapshot-format", "evaluate-word", "grid-search-d"],
+)
+def test_usage_error_in_a_subcommand_prints_its_usage(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith(f"usage: lexgender {argv[0]} ")
+    assert f"lexgender {argv[0]}: error: {message}" in err
+
+
+def test_usage_error_before_a_subcommand_prints_the_top_usage(capsys):
+    code, out, err = run(capsys, "frobnicate", "nun")
+    assert code == 1 and not out
+    assert err.startswith("usage: lexgender [-h]\n")
+    assert "invalid choice: 'frobnicate'" in err

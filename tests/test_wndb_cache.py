@@ -66,33 +66,58 @@ def test_same_size_edit_with_restored_mtime_is_parsed(db):
 
 
 def _tamper(db: Path, change) -> None:
-    """Rewrite the cache under its valid key, its records passed through ``change``."""
-    glosses, lemmas = wndb_cache.cache_records(_parsed(db))
-    glosses, lemmas = change(list(glosses), list(lemmas))
-    wndb_cache.write_cache(db / CACHE, wndb_cache.cache_key(db), glosses, lemmas)
+    """Rewrite the cache under its valid key, its gloss, sense and lemma records passed through ``change``."""
+    records = wndb_cache.cache_records(_parsed(db))
+    wndb_cache.write_cache(db / CACHE, wndb_cache.cache_key(db), *change(*map(list, records)))
 
 
 def _with_lemma(lemmas, lemma, ref):
     return [{**lemmas[0], lemma: ref}, *lemmas[1:]]
 
 
+def _with_row(senses, lemmas, lemma, row):
+    """The sense records, as one record, with the row that ``lemma`` points to replaced by ``row``."""
+    rows = [old for record in senses for old in record]
+    rows[~next(record[lemma] for record in lemmas if lemma in record)] = row
+    return [tuple(rows)]
+
+
+def _one_sense_only(lemmas):
+    """The lemma records without the lemmas that point into the sense table."""
+    return [{lemma: ref for lemma, ref in record.items() if ref >= 0} for record in lemmas]
+
+
+# ``dog`` has two senses, so it points into the sense table; ``nun`` has one
 TAMPERED = {
-    "gloss-record-a-list": lambda g, l: ([list(g[0]), *g[1:]], l),
-    "lemma-record-a-list": lambda g, l: (g, [list(l[0].items()), *l[1:]]),
-    "gloss-record-a-code-object": lambda g, l: ([compile("('a fruit',)", "<cache>", "eval")], l),
-    "lemma-record-a-code-object": lambda g, l: (g, [compile("{}", "<cache>", "eval")]),
-    "gloss-not-str": lambda g, l: ([(b"a fruit", *g[0][1:]), *g[1:]], l),
-    "lemma-not-str": lambda g, l: (g, [{**{b"apple": 0}, **l[0]}, *l[1:]]),
-    "gloss-number-past-end": lambda g, l: (g, _with_lemma(l, "nun", sum(map(len, g)))),
-    "gloss-number-negative": lambda g, l: (g, _with_lemma(l, "nun", -1)),
-    "gloss-number-a-float": lambda g, l: (g, _with_lemma(l, "nun", 0.0)),
-    "gloss-number-a-bool": lambda g, l: (g, _with_lemma(l, "nun", False)),
-    "sense-number-past-end": lambda g, l: (g, _with_lemma(l, "dog", (0, sum(map(len, g))))),
-    "sense-number-negative": lambda g, l: (g, _with_lemma(l, "dog", (0, -1))),
-    "sense-numbers-a-list": lambda g, l: (g, _with_lemma(l, "dog", [0, 1])),
-    "lemma-in-two-records": lambda g, l: (g, [*l, {"nun": 0}]),
-    "lemma-records-as-gloss-records": lambda g, l: (g + l, []),
+    "gloss-record-a-list": lambda g, s, l: ([list(g[0]), *g[1:]], s, l),
+    "lemma-record-a-list": lambda g, s, l: (g, s, [list(l[0].items()), *l[1:]]),
+    "gloss-record-a-code-object": lambda g, s, l: ([compile("('a fruit',)", "<cache>", "eval")], s, l),
+    "lemma-record-a-code-object": lambda g, s, l: (g, s, [compile("{}", "<cache>", "eval")]),
+    "gloss-not-str": lambda g, s, l: ([(b"a fruit", *g[0][1:]), *g[1:]], s, l),
+    "lemma-not-str": lambda g, s, l: (g, s, [{**{b"apple": 0}, **l[0]}, *l[1:]]),
+    "gloss-number-past-end": lambda g, s, l: (g, s, _with_lemma(l, "nun", sum(map(len, g)))),
+    # without a sense table a negative number can only be a gloss number
+    "gloss-number-negative": lambda g, s, l: (g, [], _with_lemma(_one_sense_only(l), "nun", -1)),
+    "gloss-number-a-float": lambda g, s, l: (g, s, _with_lemma(l, "nun", 0.0)),
+    "gloss-number-a-bool": lambda g, s, l: (g, s, _with_lemma(l, "nun", False)),
+    "sense-number-past-end": lambda g, s, l: (g, _with_row(s, l, "dog", (0, sum(map(len, g)))), l),
+    "sense-number-negative": lambda g, s, l: (g, _with_row(s, l, "dog", (0, -1)), l),
+    "sense-numbers-a-list": lambda g, s, l: (g, _with_row(s, l, "dog", [0, 1]), l),
+    "lemma-in-two-records": lambda g, s, l: (g, s, [*l, {"nun": 0}]),
+    "lemma-records-as-gloss-records": lambda g, s, l: (g + l, s, []),
+    "lemma-ref-below-the-sense-table": lambda g, s, l: (g, s, _with_lemma(l, "nun", -1 - sum(map(len, s)))),
+    "sense-table-dropped": lambda g, s, l: (g, [], l),
+    "sense-number-a-bool": lambda g, s, l: (g, _with_row(s, l, "dog", (0, True)), l),
+    "sense-number-a-float": lambda g, s, l: (g, _with_row(s, l, "dog", (0, 1.0)), l),
+    "sense-record-a-list": lambda g, s, l: (g, [list(s[0]), *s[1:]], l),
+    "sense-record-of-ints": lambda g, s, l: (g, [(0, 1), *s[1:]], l),
+    "sense-records-as-gloss-records": lambda g, s, l: (g + s, [], l),
 }
+
+
+def test_untampered_records_are_read(db):
+    _tamper(db, lambda g, s, l: (g, s, l))
+    assert _cached(db) == _parsed(db)
 
 
 @pytest.mark.parametrize("change", TAMPERED.values(), ids=TAMPERED.keys())
@@ -104,11 +129,13 @@ def test_tampered_cache_is_ignored_and_rewritten(db, change):
     assert _cached(db) == fresh
 
 
-# the layout: magic, 32-byte key, two 4-byte record counts, then records,
-# each a 4-byte length, that many marshal bytes and a 32-byte running digest
+# the layout: magic, 32-byte key, three 4-byte record counts (gloss, sense,
+# lemma), then records, each a 4-byte length, that many marshal bytes and a
+# 32-byte running digest
 KEY_AT = len(wndb_cache._MAGIC)
 COUNTS_AT = KEY_AT + 32
-RECORDS_AT = COUNTS_AT + 8
+LEMMA_COUNT_AT = COUNTS_AT + 8
+RECORDS_AT = COUNTS_AT + 12
 
 
 def _put(data: bytes, at: int, value: bytes) -> bytes:
@@ -121,8 +148,8 @@ def _without_last_record(data: bytes) -> bytes:
     while at < len(data):
         starts.append(at)
         at += 4 + int.from_bytes(data[at : at + 4], "little") + 32
-    lemma_records = int.from_bytes(data[COUNTS_AT + 4 : RECORDS_AT], "little")
-    return _put(data, COUNTS_AT + 4, (lemma_records - 1).to_bytes(4, "little"))[: starts[-1]]
+    lemma_records = int.from_bytes(data[LEMMA_COUNT_AT:RECORDS_AT], "little")
+    return _put(data, LEMMA_COUNT_AT, (lemma_records - 1).to_bytes(4, "little"))[: starts[-1]]
 
 
 BROKEN = {
@@ -135,7 +162,8 @@ BROKEN = {
     "another-magic": lambda data: _put(data, 0, b"X"),
     "another-key": lambda data: _put(data, KEY_AT, bytes(32)),
     "gloss-record-count-raised": lambda data: _put(data, COUNTS_AT, (2).to_bytes(4, "little")),
-    "lemma-record-count-lowered": lambda data: _put(data, COUNTS_AT + 4, (0).to_bytes(4, "little")),
+    "sense-record-count-lowered": lambda data: _put(data, COUNTS_AT + 4, (0).to_bytes(4, "little")),
+    "lemma-record-count-lowered": lambda data: _put(data, LEMMA_COUNT_AT, (0).to_bytes(4, "little")),
     "record-length-past-the-end": lambda data: _put(data, RECORDS_AT, (1 << 31).to_bytes(4, "little")),
     "gloss-text-changed": lambda data: data.replace(b"a woman belonging", b"a woman Belonging"),
     "last-record-dropped": _without_last_record,
