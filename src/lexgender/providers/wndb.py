@@ -43,7 +43,8 @@ _HEX_DIGITS = "0123456789abcdefABCDEF"
 
 def _parse_data_noun(path: Path) -> tuple[dict[int, int], tuple[str, ...]]:
     """Map synset offset -> gloss number, and the glosses so numbered, in file order."""
-    glosses: dict[int, str] = {}
+    number_of: dict[int, int] = {}
+    glosses: list[str] = []
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith(" ") or line.isspace():
@@ -67,10 +68,11 @@ def _parse_data_noun(path: Path) -> tuple[dict[int, int], tuple[str, ...]]:
             ):
                 raise DataFormatError(f"{path.name}:{lineno}: {HEAD_MESSAGE}")
             offset = int(fields[0])
-            if offset in glosses:
+            if offset in number_of:
                 raise DataFormatError(f"{path.name}:{lineno}: duplicate synset offset {offset}")
-            glosses[offset] = line[bar + 1 :].strip().rstrip(";").strip()
-    return dict(zip(glosses, range(len(glosses)))), tuple(glosses.values())
+            number_of[offset] = len(glosses)
+            glosses.append(line[bar + 1 :].strip().rstrip(";").strip())
+    return number_of, tuple(glosses)
 
 
 class NounIndex(Mapping):

@@ -31,7 +31,7 @@ import marshal
 import os
 import sys
 import tempfile
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from . import wndb
@@ -81,11 +81,11 @@ def cache_key(directory: Path) -> bytes | None:
 
 def cache_records(index: wndb.NounIndex) -> tuple[list[tuple], list[tuple], list[dict]]:
     """The gloss, sense and lemma records of ``index``."""
-    lemmas = list(index.lemmas.items())
+    lemmas = iter(index.lemmas.items())
     return (
         [index.glosses[i : i + _RECORD_ITEMS] for i in range(0, len(index.glosses), _RECORD_ITEMS)],
         [index.senses[i : i + _RECORD_ITEMS] for i in range(0, len(index.senses), _RECORD_ITEMS)],
-        [dict(lemmas[i : i + _RECORD_ITEMS]) for i in range(0, len(lemmas), _RECORD_ITEMS)],
+        [dict(islice(lemmas, _RECORD_ITEMS)) for _ in range(0, len(index.lemmas), _RECORD_ITEMS)],
     )
 
 
@@ -189,7 +189,7 @@ def _read_records(fh, key: bytes, size: int) -> wndb.NounIndex | None:
     for record in records(lemma_records):
         if type(record) is not dict or not set(map(type, record)) <= {str}:
             raise ValueError("bad lemma record")
-        _check_numbers(record.values(), -len(senses), len(glosses))  # ~row for a sense row
+        _check_numbers(record.values(), -len(senses), len(glosses))  # ref ~i points to senses[i]
         count += len(record)
         lemmas.update(record)
     if left or len(lemmas) != count:  # bytes after the last record, or a lemma in two records
