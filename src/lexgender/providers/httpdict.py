@@ -37,17 +37,22 @@ SITES = {
 }
 
 _USER_AGENT = "lexgender/0.1 (lexical gender research tool)"
+_MISSING = object()  # read_entry's answer for an absent entry; a file may hold JSON null
+
+
+def _entry_path(provider_dir: str, word: str) -> str:
+    """The cache file of ``word`` in one provider's directory: percent-encoded word, JSON entry."""
+    return f"{provider_dir}{os.sep}{urllib.parse.quote(word, safe='')}.json"
 
 
 def cache_file(cache_root: str | Path, provider_id: str, word: str) -> Path:
-    """Cache path for one (provider, word): percent-encoded word, JSON entry."""
-    return Path(cache_root) / provider_id / (urllib.parse.quote(word, safe="") + ".json")
+    """Cache path for one (provider, word)."""
+    return Path(_entry_path(os.path.join(cache_root, provider_id), word))
 
 
-def write_entry_atomic(path: Path, entry: dict) -> None:
+def write_entry_atomic(path: str, entry: dict) -> None:
     """Write a cache entry via temp-file-then-rename so readers never see partial JSON."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, ensure_ascii=False)
@@ -58,11 +63,15 @@ def write_entry_atomic(path: Path, entry: dict) -> None:
         raise
 
 
-def read_entry(path: Path) -> object:
-    """The parsed JSON of the cache file at ``path``; its schema is checked by the caller."""
+def read_entry(path: str) -> object:
+    """The parsed JSON of the cache file at ``path``, or ``_MISSING``; the caller checks its schema."""
     try:
         with open_utf8(path) as fh:
             return json.load(fh)
+    except (FileNotFoundError, NotADirectoryError):
+        return _MISSING
+    except IsADirectoryError as exc:
+        raise DataFormatError(f"corrupt cache entry {path}: a directory, not a file") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"corrupt cache entry {path}: {exc}") from exc
 
@@ -70,10 +79,10 @@ def read_entry(path: Path) -> object:
 class CachedHttpProvider:
     """Definition lookups against one online dictionary, cache first.
 
-    Safe for concurrent callers: cache writes are atomic, and a cache miss is
-    fetched, parsed and written under a lock, which also enforces the minimum
-    interval between requests. So callers that miss on the same word at once
-    send one request, and the others read the entry it wrote.
+    Safe for concurrent callers: a hit reads its entry without the lock, and a
+    miss is probed again, then fetched, parsed and atomically written, under a
+    lock that also enforces the minimum interval between requests. So callers
+    that miss on the same word at once send one request.
     """
 
     deterministic = False
@@ -92,7 +101,7 @@ class CachedHttpProvider:
             raise ValueError("min_request_interval must be > 0")
         self.provider_id = provider_id
         self.site = SITES[provider_id]
-        self.cache_root = Path(cache_root)
+        self._dir = os.path.join(cache_root, provider_id)
         self.min_request_interval = min_request_interval
         self.timeout = timeout
         if session is None:
@@ -106,14 +115,13 @@ class CachedHttpProvider:
 
     def lookup(self, word: str) -> DefinitionSet | None:
         check_word(word)
-        path = cache_file(self.cache_root, self.provider_id, word)
-        if path.exists():
-            entry = read_entry(path)
-        else:
+        path = _entry_path(self._dir, word)
+        entry = read_entry(path)  # a warm hit never takes the lock
+        if entry is _MISSING:
             with self._lock:
-                if path.exists():  # another caller fetched it while this one waited
-                    entry = read_entry(path)
-                else:
+                entry = read_entry(path)  # another caller may have fetched it while this one waited
+                if entry is _MISSING:
+                    os.makedirs(self._dir, exist_ok=True)  # an unusable cache fails before the request
                     entry = self._fetch(word)
                     write_entry_atomic(path, entry)
         definitions = entry_definitions(entry, f"corrupt cache entry {path}", word)

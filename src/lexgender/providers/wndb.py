@@ -37,6 +37,7 @@ INDEX_FILE = "index.noun"
 DATA_FILE = "data.noun"
 FIELD_COUNT_MESSAGE = "field count disagrees with pointer and synset counts"
 HEAD_MESSAGE = "record head disagrees with its lex_filenum, w_cnt and p_cnt"
+CASE_MESSAGE = "lemma is not lowercase, so no lookup could reach it"
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
@@ -135,6 +136,8 @@ def _parse_noun_index(directory: Path) -> NounIndex:
                 if len(fields) != 6 + p_cnt + synset_cnt:
                     short = synset_cnt and len(fields) < 6 + p_cnt + synset_cnt
                     raise ValueError("missing synset offsets" if short else FIELD_COUNT_MESSAGE)
+                if lemma != lemma.lower():
+                    raise ValueError(CASE_MESSAGE)
                 if synset_cnt == 1:
                     ref = number_of[int(numbers[2])]
                 else:

@@ -369,6 +369,34 @@ def test_live_corrupt_cache_exits_3(capsys, tmp_path, monkeypatch):
     assert not out
 
 
+def test_live_cache_entry_that_is_a_directory_exits_3(capsys, tmp_path, monkeypatch):
+    def explode(*args, **kwargs):
+        raise AssertionError("a cache entry that is a directory must not be refetched")
+
+    monkeypatch.setattr(requests.Session, "get", explode)
+    cache_file(tmp_path, "merriam_webster", "nun").mkdir(parents=True)
+    code, out, err = run(
+        capsys, "classify", "nun", "--live", "merriam_webster", "--cache-root", str(tmp_path)
+    )
+    assert code == 3
+    assert "bad data" in err and "nun.json" in err
+    assert not out
+
+
+def test_live_cache_provider_path_a_file_exits_1_without_request(capsys, tmp_path, monkeypatch):
+    def explode(*args, **kwargs):
+        raise AssertionError("no request may be sent when its entry cannot be cached")
+
+    monkeypatch.setattr(requests.Session, "get", explode)
+    (tmp_path / "merriam_webster").write_text("")
+    code, out, err = run(
+        capsys, "classify", "nun", "--live", "merriam_webster", "--cache-root", str(tmp_path)
+    )
+    assert code == 1
+    assert "merriam_webster" in err
+    assert not out
+
+
 SOURCE_OPTIONS = ("--wordnet", "--snapshot", "--live", "--cache-root", "--min-interval", "--offline")
 #: Every option each subcommand takes; each one is read by its handler.
 SUBCOMMAND_OPTIONS = {

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -9,13 +10,17 @@ from urllib.parse import unquote
 
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexgender.errors import DataFormatError, TransportError
 from lexgender.providers import (
+    SITES,
     CachedHttpProvider,
     SnapshotProvider,
     WordNetProvider,
     cache_file,
+    check_word,
     extract_definitions_html,
     load_noun_index,
     snapshot_write,
@@ -376,6 +381,120 @@ def test_concurrent_lookups_share_cache(tmp_path):
         thread.join()
     assert session.calls == 1 and provider.request_count == 1
     assert [r.definitions for r in results] == [("a woman belonging to a religious order",)] * 4
+
+
+class BlockingSession(StubSession):
+    """A stub whose requests wait until ``release`` is set, and report when they start."""
+
+    def __init__(self, pages):
+        super().__init__(pages)
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, url, headers=None, timeout=None):
+        self.started.set()
+        if not self.release.wait(5):
+            raise TimeoutError("the test never released the request")
+        return super().get(url, headers, timeout)
+
+
+def test_warm_hit_does_not_wait_for_a_fetch(tmp_path):
+    _live(tmp_path, StubSession({"nun": _mw_page("a woman belonging to a religious order")})).lookup("nun")
+    session = BlockingSession({"monk": _mw_page("a man belonging to a religious order")})
+    provider = _live(tmp_path, session)
+    missed, hit = [], []
+    miss = threading.Thread(target=lambda: missed.append(provider.lookup("monk")), daemon=True)
+    miss.start()
+    try:
+        assert session.started.wait(5)  # the miss holds the fetch lock, inside session.get
+        warm = threading.Thread(target=lambda: hit.append(provider.lookup("nun")), daemon=True)
+        warm.start()
+        warm.join(5)
+        assert not warm.is_alive(), "a warm hit waited for another word's fetch"
+        assert hit[0].definitions == ("a woman belonging to a religious order",)
+    finally:
+        session.release.set()
+        miss.join(5)
+    assert not miss.is_alive() and missed[0].definitions == ("a man belonging to a religious order",)
+    assert session.calls == 1
+
+
+def test_cache_entry_that_is_a_directory_is_data_error(tmp_path):
+    path = cache_file(tmp_path, "merriam_webster", "nun")
+    path.mkdir(parents=True)
+    session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
+        _live(tmp_path, session).lookup("nun")
+    assert session.calls == 0
+
+
+@pytest.mark.parametrize("blocked", ["cache root", "provider directory"])
+def test_unusable_cache_directory_fails_before_the_request(tmp_path, blocked):
+    root = tmp_path / "cache"
+    if blocked == "cache root":
+        root.write_text("")
+    else:
+        root.mkdir()
+        (root / "merriam_webster").write_text("")
+    session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
+    with pytest.raises(OSError):
+        _live(root, session).lookup("nun")
+    assert session.calls == 0  # the answer would be thrown away: the entry cannot be written
+
+
+def _lookup_word(word: str) -> bool:
+    try:
+        return check_word(word) == word
+    except ValueError:
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(min_size=1, max_size=12).filter(_lookup_word))
+@example("single person")
+@example("a/b")
+@example("100%")
+@example("%2f")
+@example(".")
+@example("..")
+@example("caf\u00e9")
+@example("\u00f1and\u00fa \u65e5\u672c")
+def test_a_miss_writes_the_public_cache_file(word):
+    page = _mw_page("a person")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        found = _live(root, StubSession({word: page})).lookup(word)
+        assert found.definitions == ("a person",)
+        assert [p for p in root.rglob("*") if p.is_file()] == [cache_file(root, "merriam_webster", word)]
+        reader = StubSession({}, exc=AssertionError("a cached word was requested"))
+        assert _live(root, reader).lookup(word) == found
+        assert reader.calls == 0
+
+
+#: Words and their cache file names, as the cache layout has always written them.
+CACHE_NAMES = {
+    "nun": "nun.json",
+    "single person": "single%20person.json",
+    "a/b": "a%2Fb.json",
+    "100%": "100%25.json",
+    "..": "...json",
+    "caf\u00e9": "caf%C3%A9.json",
+}
+
+
+def test_cache_in_the_published_layout_is_read_without_requests(tmp_path):
+    for provider_id in SITES:
+        (tmp_path / provider_id).mkdir()
+        for word, name in CACHE_NAMES.items():
+            entry = {"found": True, "definitions": [f"{provider_id} sense of {word}"]}
+            (tmp_path / provider_id / name).write_text(json.dumps(entry), encoding="utf-8")
+    session = StubSession({}, exc=AssertionError("a cached word was requested"))
+    for provider_id in SITES:
+        provider = _live(tmp_path, session, provider_id)
+        for word, name in CACHE_NAMES.items():
+            assert cache_file(tmp_path, provider_id, word) == tmp_path / provider_id / name
+            assert provider.lookup(word).definitions == (f"{provider_id} sense of {word}",)
+    assert session.calls == 0
 
 
 def test_lookup_precondition():

@@ -4,15 +4,16 @@ The oracle below is the loader as it was before ``index.noun`` was
 resolved against the glosses in the same pass: parse ``data.noun``, parse
 ``index.noun`` into lemma -> offsets, then join. Both must build the same
 index, and a malformed database must fail with the same message, which
-names the file and line. There are three intended differences, where the
-oracle took lines that the loader rejects: numeric ``index.noun`` fields
-must be ASCII digits, where the oracle took anything ``int()`` takes; an
-``index.noun`` line must have exactly the fields its counts call for,
-where the oracle ignored fields after the offsets and let a sense-less
-line end after ``sense_cnt``; and a ``data.noun`` record head must have
-a decimal ``lex_filenum`` and ``p_cnt``, a hexadecimal ``w_cnt`` and
-exactly the fields they call for, where the oracle read only the offset
-and ``ss_type``.
+names the file and line. There are four intended differences, where the
+oracle took lines that the loader rejects: an ``index.noun`` lemma must be
+lowercase, where the oracle took lemmas no lookup could reach; numeric
+``index.noun`` fields must be ASCII digits, where the oracle took
+anything ``int()`` takes; an ``index.noun`` line must have exactly the
+fields its counts call for, where the oracle ignored fields after the
+offsets and let a sense-less line end after ``sense_cnt``; and a
+``data.noun`` record head must have a decimal ``lex_filenum`` and
+``p_cnt``, a hexadecimal ``w_cnt`` and exactly the fields they call for,
+where the oracle read only the offset and ``ss_type``.
 """
 
 import tempfile
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from lexgender.data import wndb_dir
 from lexgender.errors import DataFormatError, open_utf8
 from lexgender.providers import load_noun_index, wndb, wndb_cache
-from lexgender.providers.wndb import FIELD_COUNT_MESSAGE, HEAD_MESSAGE
+from lexgender.providers.wndb import CASE_MESSAGE, FIELD_COUNT_MESSAGE, HEAD_MESSAGE
 
 DIGITS_MESSAGE = "numeric fields must be ASCII digits"
 
@@ -120,8 +121,9 @@ def test_mini_fixture_matches_oracle(tests_data):
 _LEMMAS = ["apple", "nun", "fig_tree", "monk", "pear", "widow"]
 _GLOSSES = ["a fruit", 'an adult female; "the nun prayed"', "tree ;", "", "a | b"]
 # Tokens a mutation may put in place of a well-formed one: signs, "_",
-# non-ASCII digits and non-numbers, next to values a field can legally take.
-_TOKENS = ["+1", "-1", "+0", "1_0", "0000_0001", "\u0661", "\u00b2", "x", "n", "v", "|", "@", "0", "1", "2"]
+# non-ASCII digits, non-numbers and an uppercase lemma, next to values a
+# field can legally take.
+_TOKENS = ["+1", "-1", "+0", "1_0", "0000_0001", "\u0661", "\u00b2", "x", "Nun", "n", "v", "|", "@", "0", "1", "2"]
 _EXTRA_LINES = ["  1 header | with bar", "", "\t ", "not a record", "apple n 1 0 1 0 1"]
 
 
@@ -187,7 +189,7 @@ def test_generated_db_matches_oracle(db):
         _write_db(directory, db)
         new = _outcome(load_noun_index, directory)
         old = _outcome(oracle_load_noun_index, directory)
-    if new[0] == "error" and new[3] in (DIGITS_MESSAGE, FIELD_COUNT_MESSAGE, HEAD_MESSAGE):
+    if new[0] == "error" and new[3] in (CASE_MESSAGE, DIGITS_MESSAGE, FIELD_COUNT_MESSAGE, HEAD_MESSAGE):
         # the oracle took this line: it loads, or fails later or at the join
         assert old[0] == "ok" or old[2] is None or _position(old) >= _position(new)
     else:
@@ -251,6 +253,21 @@ def test_index_numbers_must_be_ascii_digits(tmp_path, line):
     assert oracle_load_noun_index(tmp_path)["nun"][0] == "a woman"
     with pytest.raises(DataFormatError, match=f"^index\\.noun:2: {DIGITS_MESSAGE}$"):
         load_noun_index(tmp_path)
+
+
+@pytest.mark.parametrize("lemma", ["Apple", "APPLE", "fig_Tree", "\u01c5ab"])
+def test_index_lemmas_must_be_lowercase(tmp_path, lemma):
+    (tmp_path / "data.noun").write_text("1 18 n 01 w 0 000 | a fruit\n", encoding="utf-8")
+    (tmp_path / "index.noun").write_text(f"  1 header\n{lemma} n 1 0 1 0 00000001\n", encoding="utf-8")
+    assert oracle_load_noun_index(tmp_path)[lemma] == ("a fruit",)
+    with pytest.raises(DataFormatError, match=f"^index\\.noun:2: {CASE_MESSAGE}$"):
+        load_noun_index(tmp_path)
+
+
+def test_lemmas_without_cased_letters_load(tmp_path):
+    (tmp_path / "data.noun").write_text("1 18 n 01 w 0 000 | a fruit\n", encoding="utf-8")
+    (tmp_path / "index.noun").write_text(".22 n 1 0 1 0 00000001\n3-d n 1 0 1 0 00000001\n", encoding="utf-8")
+    assert load_noun_index(tmp_path) == {".22": ("a fruit",), "3-d": ("a fruit",)}
 
 
 @pytest.mark.parametrize(
