@@ -19,16 +19,16 @@ Pipeline for one target word:
 A word not found by a provider is retried once with punctuation and
 whitespace removed (grand-father -> grandfather).
 
-Counting works from seed hits: every token of a word's definitions that is
-a seed form, recorded once with its definition index, token index, pair
-index and gender. Counting at any (d, t, w) only filters those hits, so
-the grid search tokenizes each word's definitions once for all its cells.
+Counting reads at most t tokens of each of a source's first d definitions,
+in one pass. The grid search instead records every seed token once as a
+seed hit (definition, token, pair, gender) and filters the hits per cell,
+so it tokenizes each word's definitions once for all its cells.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import NamedTuple, Sequence
 
 from .core import ClassifierParams, GenderLabel, SeedLexicon, default_lexicon
 from .providers.base import DefinitionSet, Provider
@@ -38,9 +38,12 @@ ROUTE_SEED = "seed_shortcut"
 ROUTE_SUFFIX = "suffix_heuristic"
 ROUTE_DICTIONARY = "dictionary"
 
-# Used when a caller passes no lexicon; never mutated, so one build serves
-# every call.
+# Used when a caller passes no lexicon or params; immutable, so one build
+# serves every call.
 _DEFAULT_LEXICON = default_lexicon()
+_DEFAULT_PARAMS = ClassifierParams()
+
+_MASC, _FEM, _NEUT, _NOT_FOUND = GenderLabel  # in declaration order; read faster than off the class
 
 # Characters stripped from token edges. ASCII punctuation plus the curly
 # quotes and dashes common in dictionary prose.
@@ -76,19 +79,21 @@ class ClassificationResult(NamedTuple):
     combined: GenderLabel
 
 
-def tokenize(definition: str) -> list[str]:
-    """Lowercase tokens of a definition, in order.
+def tokenize(definition: str, limit: int | None = None) -> list[str]:
+    """Lowercase tokens of a definition, in order; only the first ``limit`` (>= 1) if given.
 
     Splits on whitespace and strips leading/trailing punctuation from each
     token; internal punctuation (hyphens, apostrophes) is retained, so
     "father-in-law" stays one token distinct from "father". Empty tokens
-    are dropped.
+    are dropped and take no position.
     """
     tokens = []
     for raw in definition.lower().split():
         token = raw.strip(_STRIP_CHARS)
         if token:
             tokens.append(token)
+            if len(tokens) == limit:
+                break
     return tokens
 
 
@@ -137,43 +142,54 @@ def count_hits(hits: Sequence[SeedHit], params: ClassifierParams) -> tuple[int, 
     return masc, fem
 
 
-def count_gendered(
-    defs: DefinitionSet, params: ClassifierParams, lexicon: SeedLexicon
-) -> tuple[int, int]:
-    """(masculine, feminine) token counts over the truncated definition text."""
-    return count_hits(seed_hits(defs.definitions[: params.d], lexicon), params)
-
-
 def label_from_counts(masc: int, fem: int) -> GenderLabel:
     """More masculine tokens: masc; more feminine: fem; equal (or none): neut."""
     if masc > fem:
-        return GenderLabel.MASC
+        return _MASC
     if fem > masc:
-        return GenderLabel.FEM
-    return GenderLabel.NEUT
+        return _FEM
+    return _NEUT
 
 
 @cache
 def _not_found(provider_id: str) -> ProviderVerdict:
     """The not_found verdict of one provider; immutable, so one serves every word."""
-    return ProviderVerdict(provider_id, GenderLabel.NOT_FOUND)
+    return ProviderVerdict(provider_id, _NOT_FOUND)
+
+
+def _verdict(
+    provider_id: str, defs: DefinitionSet | None, d: int, t: int, w: int, index: dict
+) -> ProviderVerdict:
+    """One source's verdict: seed forms of the first w pairs (``index`` is the lexicon's
+    ``form_index``) among the first t tokens of each of the first d definitions."""
+    if defs is None:
+        return _not_found(provider_id)
+    definitions = defs.definitions[:d]
+    masc = fem = 0
+    for definition in definitions:
+        for token in filter(index.__contains__, tokenize(definition, t)):
+            pair, masculine = index[token]
+            if pair < w:
+                if masculine:
+                    masc += 1
+                else:
+                    fem += 1
+    return ProviderVerdict(provider_id, label_from_counts(masc, fem), masc, fem, len(definitions))
+
+
+def count_gendered(
+    defs: DefinitionSet, params: ClassifierParams, lexicon: SeedLexicon
+) -> tuple[int, int]:
+    """(masculine, feminine) token counts over the truncated definition text."""
+    verdict = _verdict(defs.provider_id, defs, *params, lexicon.form_index)
+    return verdict.masc_count, verdict.fem_count
 
 
 def classify_with_provider(
     provider: Provider, word: str, params: ClassifierParams, lexicon: SeedLexicon
 ) -> ProviderVerdict:
     """Look up, count, threshold: one dictionary's verdict for one word."""
-    defs = provider.lookup(word)
-    if defs is None:
-        return _not_found(provider.provider_id)
-    masc, fem = count_gendered(defs, params, lexicon)
-    return ProviderVerdict(
-        provider_id=provider.provider_id,
-        label=label_from_counts(masc, fem),
-        masc_count=masc,
-        fem_count=fem,
-        definitions_used=min(params.d, len(defs.definitions)),
-    )
+    return _verdict(provider.provider_id, provider.lookup(word), *params, lexicon.form_index)
 
 
 def combine(labels: Sequence[GenderLabel]) -> GenderLabel:
@@ -185,13 +201,13 @@ def combine(labels: Sequence[GenderLabel]) -> GenderLabel:
     """
     if not labels:
         raise ValueError("combine requires at least one label")
-    votes = [label for label in labels if label is not GenderLabel.NOT_FOUND]
+    votes = [label for label in labels if label is not _NOT_FOUND]
     if not votes:
-        return GenderLabel.NOT_FOUND
-    for label in set(votes):
+        return _NOT_FOUND
+    for label in votes:  # a few votes are counted faster than a set is built
         if votes.count(label) * 2 > len(votes):
             return label
-    return GenderLabel.NEUT
+    return _NEUT
 
 
 def _strip_punctuation(word: str) -> str:
@@ -200,22 +216,16 @@ def _strip_punctuation(word: str) -> str:
     return "".join([ch for ch in word if ch.isalnum()])
 
 
-T = TypeVar("T")
-
-
 def resolve(
-    word: str,
-    providers: Sequence[Provider],
-    lexicon: SeedLexicon,
-    attempt: Callable[[Provider, str], T | None],
-) -> tuple[str, str, GenderLabel | None, tuple[T | None, ...]]:
-    """Route choice and lookup for one target word: (normalized, route, label, outcomes).
+    word: str, providers: Sequence[Provider], lexicon: SeedLexicon
+) -> tuple[str, str, GenderLabel | None, tuple[DefinitionSet | None, ...]]:
+    """Route choice and lookup for one target word: (normalized, route, label, found).
 
     The seed shortcut and then the suffix heuristic decide ``label`` with no
-    dictionary. Otherwise the route is the dictionary one: ``attempt(provider,
-    word)`` runs for every provider and returns None when the provider lacks
-    the word, which is then retried once with punctuation and whitespace
-    removed. ``outcomes`` holds one result per provider (empty off that route).
+    dictionary. Otherwise the route is the dictionary one: every provider
+    looks the word up, and one that lacks it is asked once more with
+    punctuation and whitespace removed. ``found`` holds each provider's
+    definitions, None where it lacks the word (empty off that route).
     """
     if not providers:
         raise ValueError("classify requires at least one provider")
@@ -232,13 +242,13 @@ def resolve(
 
     stripped = _strip_punctuation(normalized)
     retry = stripped and stripped != normalized
-    outcomes = []
+    found = []
     for provider in providers:
-        outcome = attempt(provider, normalized)
-        if outcome is None and retry:
-            outcome = attempt(provider, stripped)
-        outcomes.append(outcome)
-    return normalized, ROUTE_DICTIONARY, None, tuple(outcomes)
+        defs = provider.lookup(normalized)
+        if defs is None and retry:
+            defs = provider.lookup(stripped)
+        found.append(defs)
+    return normalized, ROUTE_DICTIONARY, None, tuple(found)
 
 
 def classify(
@@ -248,21 +258,14 @@ def classify(
     lexicon: SeedLexicon | None = None,
 ) -> ClassificationResult:
     """Classify one target word through the full pipeline."""
-    if params is None:
-        params = ClassifierParams()
+    d, t, w = _DEFAULT_PARAMS if params is None else params
     if lexicon is None:
         lexicon = _DEFAULT_LEXICON
-
-    def attempt(provider: Provider, candidate: str) -> ProviderVerdict | None:
-        verdict = classify_with_provider(provider, candidate, params, lexicon)
-        return None if verdict.label is GenderLabel.NOT_FOUND else verdict
-
-    normalized, route, label, outcomes = resolve(word, providers, lexicon, attempt)
+    normalized, route, label, found = resolve(word, providers, lexicon)
     if label is not None:
         return ClassificationResult(word, normalized, route, (), label)
     verdicts = tuple([
-        _not_found(provider.provider_id) if verdict is None else verdict
-        for provider, verdict in zip(providers, outcomes)
+        _verdict(provider.provider_id, defs, d, t, w, lexicon.form_index)
+        for provider, defs in zip(providers, found)
     ])
-    combined = combine([v.label for v in verdicts])
-    return ClassificationResult(word, normalized, route, verdicts, combined)
+    return ClassificationResult(word, normalized, route, verdicts, combine([v.label for v in verdicts]))

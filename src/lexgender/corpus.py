@@ -104,7 +104,9 @@ def _noun_counts(lines: Iterable[str]) -> dict[tuple[str, str], int]:
     while batch := list(islice(lines, _BATCH_LINES)):
         seen = len(line_counts)
         line_counts.update(batch)  # a new line is appended at its first occurrence
-        for line in islice(line_counts, seen, None):
+        # taken from the end, so the lines of earlier batches are not walked again
+        new_lines = list(islice(reversed(line_counts), len(line_counts) - seen))
+        for line in reversed(new_lines):
             try:
                 keys.append(_noun_key(line))
             except ValueError as exc:

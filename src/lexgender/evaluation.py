@@ -276,10 +276,6 @@ def grid_search(
     if lexicon is None:
         lexicon = default_lexicon()
 
-    def attempt(provider: Provider, word: str) -> tuple[SeedHit, ...] | None:
-        found = provider.lookup(word)
-        return None if found is None else seed_hits(found.definitions, lexicon)
-
     def vote(outcomes: tuple[tuple[SeedHit, ...] | None, ...], params: ClassifierParams) -> GenderLabel:
         return combine(
             [
@@ -296,7 +292,8 @@ def grid_search(
         labels[entry.label] = labels.get(entry.label, 0) + 1
         if entry.word in fixed or entry.word in counted:
             continue
-        _, _, label, outcomes = resolve(entry.word, providers, lexicon, attempt)
+        _, _, label, found = resolve(entry.word, providers, lexicon)
+        outcomes = tuple([None if defs is None else seed_hits(defs.definitions, lexicon) for defs in found])
         if label is None and not any(outcomes):
             label = vote(outcomes, cells[0])  # no seed token in any source: alike in every cell
         if label is None:

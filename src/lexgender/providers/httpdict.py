@@ -9,6 +9,7 @@ consulted before the network.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -38,11 +39,19 @@ SITES = {
 
 _USER_AGENT = "lexgender/0.1 (lexical gender research tool)"
 _MISSING = object()  # read_entry's answer for an absent entry; a file may hold JSON null
+_MAX_NAME = 250  # bytes of an entry name before ".json", within the usual 255-byte file name limit
 
 
 def _entry_path(provider_dir: str, word: str) -> str:
-    """The cache file of ``word`` in one provider's directory: percent-encoded word, JSON entry."""
-    return f"{provider_dir}{os.sep}{urllib.parse.quote(word, safe='')}.json"
+    """The cache file of ``word`` in one provider's directory: percent-encoded word, JSON entry.
+
+    A name that would pass ``_MAX_NAME`` bytes keeps its first 185 and ends in "=" and the
+    SHA-256 of the word; a percent-encoded word never holds "=", so no two words share a file.
+    """
+    name = urllib.parse.quote(word, safe="")
+    if len(name) > _MAX_NAME:
+        name = f"{name[:185]}={hashlib.sha256(word.encode()).hexdigest()}"
+    return f"{provider_dir}{os.sep}{name}.json"
 
 
 def cache_file(cache_root: str | Path, provider_id: str, word: str) -> Path:

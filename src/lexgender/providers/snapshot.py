@@ -11,8 +11,9 @@ Snapshot file schema::
       }
     }
 
-Words are lowercase. A word absent from ``entries`` and a word recorded
-with ``found: false`` both look up as not found.
+Words are non-empty, trimmed and lowercase (any other key fails the load).
+A word absent from ``entries`` and a word recorded with ``found: false``
+both look up as not found.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class SnapshotProvider:
         self._entries: dict[str, tuple[str, ...] | None] = {}
         source = f"bad snapshot file {self.path}"
         for word, entry in entries:
+            try:
+                check_word(word)
+            except ValueError:
+                raise DataFormatError(f"{source}: key {word!r} is not a trimmed lowercase word") from None
             self._entries[word] = entry_definitions(entry, source, word)
 
     def __len__(self) -> int:

@@ -15,6 +15,7 @@ from lexgender.classifier import (
     combine,
     count_gendered,
     count_hits,
+    label_from_counts,
     seed_hits,
     suffix_heuristic,
     tokenize,
@@ -292,6 +293,56 @@ def test_count_truncation_monotonic_randomized():
         masc1, fem1 = count_gendered(definition_set, ClassifierParams(d=d, t=t, w=w), LEXICON)
         masc2, fem2 = count_gendered(definition_set, ClassifierParams(d=d2, t=t2, w=w), LEXICON)
         assert masc1 <= masc2 and fem1 <= fem2
+
+
+# --- classify against the oracle -------------------------------------------
+
+SEED_FORMS = sorted(LEXICON.form_index)
+EDGES = ("", "", "(", ")", '"', "“", "”", "—", ",", ".", "...", ";")
+PUNCTUATION_ONLY = ("—", "...", "(", "–", "“”", "-")
+SPACES = (" ", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000")  # the last three are not ASCII
+# (target, the same with punctuation and whitespace removed); none is a seed form or has a gendered suffix
+TARGETS = (("grand-father", "grandfather"), ("step mother", "stepmother"), ("o'neill", "oneill"),
+           ("sculptor", "sculptor"), ("nun", "nun"))
+
+gloss_tokens = st.one_of(
+    st.sampled_from(VOCAB),
+    st.sampled_from(PUNCTUATION_ONLY),
+    st.tuples(st.sampled_from(EDGES), st.sampled_from(SEED_FORMS), st.sampled_from(EDGES)).map("".join),
+    st.text(max_size=4),
+)
+glosses = st.lists(st.tuples(gloss_tokens, st.sampled_from(SPACES)), max_size=18).map(
+    lambda parts: "".join(token + space for token, space in parts)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.sampled_from(TARGETS),
+    sources=st.lists(  # per provider: the key its entry is under (or none), and its glosses
+        st.tuples(st.sampled_from(["word", "stripped", None]), st.lists(glosses, max_size=4)),
+        min_size=1,
+        max_size=3,
+    ),
+    d=st.integers(1, 5),
+    t=st.integers(1, 12),
+    w=st.integers(1, 8),
+)
+def test_classify_matches_naive_oracle(target, sources, d, t, w):
+    word, stripped = target
+    providers, expected = [], []
+    for i, (key, definitions) in enumerate(sources):
+        table = {} if key is None else {word if key == "word" else stripped: definitions}
+        providers.append(DictProvider(table, f"p{i}"))
+        if key is None:
+            expected.append((f"p{i}", NF, 0, 0, 0))
+        else:
+            masc, fem = _oracle_count(definitions, d, t, w, LEXICON)
+            expected.append((f"p{i}", label_from_counts(masc, fem), masc, fem, min(d, len(definitions))))
+    result = classify(word, providers, ClassifierParams(d, t, w))
+    assert result.route == ROUTE_DICTIONARY
+    assert [tuple(v) for v in result.verdicts] == expected
+    assert result.combined is combine([label for _, label, *_ in expected])
 
 
 # --- per-provider verdicts --------------------------------------------------

@@ -343,6 +343,26 @@ def test_cache_filename_percent_encodes(tmp_path):
     assert path.name == "single%20person.json"
 
 
+def test_cache_filename_of_long_word_is_bounded(tmp_path):
+    longest = "a" * 250  # the longest name kept as it is
+    assert cache_file(tmp_path, "merriam_webster", longest).name == longest + ".json"
+    names = {cache_file(tmp_path, "merriam_webster", word).name for word in ("a" * 251, "a" * 252, "é" * 50)}
+    assert len(names) == 3
+    for name in names:
+        assert len(name.encode()) == 255 and "=" in name
+
+
+def test_long_word_is_cached(tmp_path):
+    word = "é" * 50  # percent-encoded, 300 bytes: longer than a file name may be
+    session = StubSession({word: _mw_page("a woman belonging to a religious order")})
+    assert _live(tmp_path, session).lookup(word).definitions == ("a woman belonging to a religious order",)
+    assert session.calls == 1
+    assert cache_file(tmp_path, "merriam_webster", word).exists()
+    other = _live(tmp_path, StubSession({}))
+    assert other.lookup(word).definitions == ("a woman belonging to a religious order",)
+    assert other.request_count == 0
+
+
 def test_cache_entry_schema_matches_snapshot_entry(tmp_path):
     session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
     provider = _live(tmp_path, session)
@@ -561,6 +581,15 @@ def test_snapshot_definitions_string_rejected(tmp_path):
     # a bare string would otherwise be split into one-character definitions
     with pytest.raises(DataFormatError, match="'nun'"):
         SnapshotProvider(_snapshot_file(tmp_path, {"found": True, "definitions": "a man"}))
+
+
+@pytest.mark.parametrize("key", ["Monk", " friar", ""])
+def test_snapshot_key_that_is_no_lookup_word_rejected(tmp_path, key):
+    # such a key could never be looked up, so it would load silently and count toward len
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({"provider": "x", "entries": {key: {"found": True, "definitions": ["a monk"]}}}))
+    with pytest.raises(DataFormatError, match=rf"snap\.json: key {re.escape(repr(key))} is not"):
+        SnapshotProvider(path)
 
 
 MALFORMED_ENTRIES = [
