@@ -302,8 +302,13 @@ EDGES = ("", "", "(", ")", '"', "“", "”", "—", ",", ".", "...", ";")
 PUNCTUATION_ONLY = ("—", "...", "(", "–", "“”", "-")
 SPACES = (" ", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000")  # the last three are not ASCII
 # (target, the same with punctuation and whitespace removed); none is a seed form or has a gendered suffix
-TARGETS = (("grand-father", "grandfather"), ("step mother", "stepmother"), ("o'neill", "oneill"),
-           ("sculptor", "sculptor"), ("nun", "nun"))
+TARGETS = (
+    ("grand-father", "grandfather"),
+    ("step mother", "stepmother"),
+    ("o'neill", "oneill"),
+    ("sculptor", "sculptor"),
+    ("nun", "nun"),
+)
 
 gloss_tokens = st.one_of(
     st.sampled_from(VOCAB),
