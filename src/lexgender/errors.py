@@ -23,13 +23,19 @@ class DataFormatError(LexgenderError):
     """An input file (gold list, tagged corpus, snapshot, WNDB) is malformed."""
 
 
+def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> DataFormatError:
+    """The error for a file at ``path`` whose bytes ``exc`` found not to be UTF-8."""
+    bad = exc.object[exc.start]
+    return DataFormatError(f"{path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})")
+
+
 class open_utf8:
     """``path`` opened for reading as UTF-8 text, as a context manager.
 
     Bytes that are not UTF-8 raise DataFormatError naming the file, instead
-    of a bare codec error. A class, not a ``@contextmanager`` generator,
-    because every cached live lookup opens a file through it and the
-    generator costs several times more per open.
+    of a bare codec error (``not_utf8``). The data-file readers open through
+    it; cached live entries are read as bytes by ``httpdict.read_entry``,
+    which raises the same error.
     """
 
     def __init__(self, path: str | Path):
@@ -42,7 +48,4 @@ class open_utf8:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._fh.close()
         if isinstance(exc, UnicodeDecodeError):
-            bad = exc.object[exc.start]
-            raise DataFormatError(
-                f"{self.path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})"
-            ) from exc
+            raise not_utf8(self.path, exc) from exc

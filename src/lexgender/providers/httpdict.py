@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -19,7 +20,7 @@ import urllib.parse
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from ..errors import DataFormatError, TransportError, open_utf8
+from ..errors import DataFormatError, TransportError, not_utf8
 from .base import DefinitionSet, check_word, entry_definitions
 from .htmlextract import extract_definitions_html
 
@@ -40,6 +41,8 @@ SITES = {
 _USER_AGENT = "lexgender/0.1 (lexical gender research tool)"
 _MISSING = object()  # read_entry's answer for an absent entry; a file may hold JSON null
 _MAX_NAME = 250  # bytes of an entry name before ".json", within the usual 255-byte file name limit
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_SIZE = 1 << 16  # bytes asked of each os.read; nearly every entry fits in one
 
 
 def _entry_path(provider_dir: str, word: str) -> str:
@@ -61,10 +64,14 @@ def cache_file(cache_root: str | Path, provider_id: str, word: str) -> Path:
 
 def write_entry_atomic(path: str, entry: dict) -> None:
     """Write a cache entry via temp-file-then-rename so readers never see partial JSON."""
+    data = memoryview(json.dumps(entry, ensure_ascii=False).encode("utf-8"))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, ensure_ascii=False)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,16 +80,39 @@ def write_entry_atomic(path: str, entry: dict) -> None:
 
 
 def read_entry(path: str) -> object:
-    """The parsed JSON of the cache file at ``path``, or ``_MISSING``; the caller checks its schema."""
+    """The parsed JSON of the cache file at ``path``, or ``_MISSING``; the caller checks its schema.
+
+    One ``os.open`` and reads into bytes, decoded once as strict UTF-8: ``json.loads``
+    never sees the bytes, since it would take UTF-16 and UTF-32 as well.
+    """
     try:
-        with open_utf8(path) as fh:
-            return json.load(fh)
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except (FileNotFoundError, NotADirectoryError):
         return _MISSING
-    except IsADirectoryError as exc:
+    except IsADirectoryError as exc:  # from os.read where a directory opens, as on Linux
         raise DataFormatError(f"corrupt cache entry {path}: a directory, not a file") from exc
+    try:
+        return json.loads(b"".join(chunks).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"corrupt cache entry {path}: {exc}") from exc
+
+
+def _request_errors() -> type[Exception] | tuple[()]:
+    """``requests.RequestException`` once ``requests`` is loaded, else nothing to catch.
+
+    A session can raise a ``requests`` error only if the module was imported,
+    so ``_fetch`` never imports it for an injected session.
+    """
+    requests = sys.modules.get("requests")
+    return () if requests is None else requests.RequestException
 
 
 class CachedHttpProvider:
@@ -140,8 +170,6 @@ class CachedHttpProvider:
 
     def _fetch(self, word: str) -> dict:
         """The entry for ``word`` from the network; the caller holds ``self._lock``."""
-        import requests
-
         url = self.site.url_template.format(word=urllib.parse.quote(word, safe=""))
         wait = self._last_request + self.min_request_interval - time.monotonic()
         if wait > 0:
@@ -150,7 +178,7 @@ class CachedHttpProvider:
             response = self.session.get(
                 url, headers={"User-Agent": _USER_AGENT}, timeout=self.timeout
             )
-        except requests.RequestException as exc:
+        except _request_errors() as exc:
             raise TransportError(f"{self.provider_id}: request for {word!r} failed: {exc}") from exc
         finally:
             self._last_request = time.monotonic()

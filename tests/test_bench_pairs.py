@@ -1,4 +1,7 @@
+import hashlib
 import importlib.util
+import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,68 @@ def test_gain_rule_fails_when_the_change_fails_more_operations(parent_failed, ch
     summary = bench_pairs.summarize(pairs, METRICS)["w"]
     assert summary["metrics"]["setup_s"]["change_wins"] == 10
     assert summary["metrics"]["setup_s"]["gain_rule_holds"] is holds
+
+
+# A stand-in for perfbench/run.py: it prints a details line and a result line as
+# the real one does, with a setup_s read from its tree, and runs no benchmark.
+FAKE_RUN = """
+import argparse, hashlib, json, pathlib
+parser = argparse.ArgumentParser()
+for option in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(option)
+args = parser.parse_args()
+root = pathlib.Path(__file__).resolve().parent.parent
+source = (root / "src" / "lexgender" / "__init__.py").read_bytes()
+environment = {"src_sha256": hashlib.sha256(source).hexdigest(), "seed": int(args.seed)}
+print(json.dumps({"perfbench": {"workload": args.workload, "environment": environment}}))
+setup_s = float((root / "setup_s").read_text()) + int(args.seed) * 1e-4
+print(json.dumps({"correct": args.trace == "0", "attempted": 3, "failed": 0,
+                  "metrics": {"setup_s": {"value": setup_s, "unit": "s"}}}))
+"""
+
+
+def _fake_tree(path: Path, setup_s: float) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (path / "src" / "lexgender").mkdir(parents=True)
+    (path / "src" / "lexgender" / "__init__.py").write_text(f"# tree {path.name}\n")
+    (path / "setup_s").write_text(str(setup_s))
+    return path
+
+
+@pytest.fixture
+def kept_signal_handlers():
+    """Restores the handlers that ``main`` installs for SIGTERM and SIGHUP."""
+    saved = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    yield
+    for signum, handler in saved.items():
+        signal.signal(signum, handler)
+
+
+def test_directory_sides_run_as_they_are(tmp_path, kept_signal_handlers):
+    parent, change = _fake_tree(tmp_path / "parent", 1.0), _fake_tree(tmp_path / "change", 0.5)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--pairs", "3",
+            "--workload", "live_stub", "--seed", "7", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    for side, tree in (("parent", parent), ("change", change)):
+        digest = hashlib.sha256(f"# tree {side}\n".encode()).hexdigest()
+        assert report[side] == {"path": str(tree), "src_sha256": [digest]}
+        assert (tree / "perfbench" / "run.py").is_file()  # a directory side is never removed
+    assert [p["seed"] for p in report["pairs"]] == [7, 8, 9]
+    setup = report["workloads"]["live_stub"]["metrics"]["setup_s"]
+    assert setup["parent"]["values"] == pytest.approx([1.0007, 1.0008, 1.0009])
+    assert setup["change_wins"] == 3 and setup["gain_rule_holds"]
+
+
+def test_a_directory_side_needs_out_and_a_benchmark(tmp_path, capsys):
+    tree = _fake_tree(tmp_path / "tree", 1.0)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tree), "--change", str(tree), "--seed", "1"])
+    assert "--out is required" in capsys.readouterr().err
+    (tree / "perfbench" / "run.py").unlink()
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tree), "--change", str(tree), "--seed", "1",
+                          "--out", str(tmp_path / "bench.json")])
+    assert "must hold perfbench/run.py and src/lexgender/" in capsys.readouterr().err

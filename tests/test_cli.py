@@ -132,6 +132,42 @@ def test_offline_start_imports_no_live_only_module(code):
     assert proc.stdout.strip() == "[]"
 
 
+INJECTED_SESSION_LOOKUPS = """
+import sys, tempfile, types
+from lexgender.providers import CachedHttpProvider
+
+PAGE = ('<div class="entry"><span class="fl">noun</span><div class="vg"><div class="sb">'
+        '<span class="dtText"><strong class="mw_t_bc">: </strong>a woman</span></div></div></div>')
+
+class Session:
+    calls = 0
+
+    def get(self, url, headers=None, timeout=None):
+        self.calls += 1
+        return types.SimpleNamespace(status_code=200, text=PAGE)
+
+session = Session()
+with tempfile.TemporaryDirectory() as root:
+    provider = CachedHttpProvider("merriam_webster", root, min_request_interval=0.001, session=session)
+    found = [provider.lookup("nun").definitions for _ in range(2)]  # a miss, then a hit
+assert found == [("a woman",)] * 2 and session.calls == 1, (found, session.calls)
+print("requests" in sys.modules)
+"""
+
+
+def test_injected_session_imports_no_requests():
+    # a session passed in cannot raise a requests error unless requests was imported
+    proc = subprocess.run(
+        [sys.executable, "-c", INJECTED_SESSION_LOOKUPS],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_duplicate_provider_ids_rejected(capsys):
     snapshot = str(snapshot_path("wordnet"))
     code, _, err = run(capsys, "classify", "--snapshot", snapshot, "--snapshot", snapshot, "nun")

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from lexgender.providers import (
     load_noun_index,
     snapshot_write,
 )
+from lexgender.providers.httpdict import _MISSING, read_entry, write_entry_atomic
 
 # --- WNDB parsing -----------------------------------------------------------
 
@@ -629,6 +631,184 @@ def test_cache_malformed_entries_rejected(tmp_path, entry):
     with pytest.raises(DataFormatError, match=match):
         _live(tmp_path, session).lookup("nun")
     assert session.calls == 0  # a corrupt entry is reported, never silently refetched
+
+
+# --- cache entry bytes ---------------------------------------------------------
+
+
+def _text_mode_read_entry(path: str) -> object:
+    """The cache reader as it was: a text-mode UTF-8 file handed to ``json.load``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, NotADirectoryError):
+        return _MISSING
+    except IsADirectoryError as exc:
+        raise DataFormatError(f"corrupt cache entry {path}: a directory, not a file") from exc
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"corrupt cache entry {path}: {exc}") from exc
+
+
+def _streamed_write(path: str, entry: dict) -> None:
+    """The cache writer as it was: ``json.dump`` streamed into a text-mode UTF-8 file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh, ensure_ascii=False)
+
+
+def _outcome(reader, path: str) -> tuple[str, str]:
+    try:
+        value = reader(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    return ("missing", "") if value is _MISSING else ("value", repr(value))
+
+
+_JSON_POSITION = re.compile(r"line \d+ column \d+ \(char \d+\)")
+_READ_SIZE = 1 << 16  # what read_entry asks of one os.read
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+ENTRIES = st.builds(
+    lambda found, definitions: {"found": found, "definitions": definitions},
+    st.booleans(),
+    st.lists(st.text(), max_size=3),
+)
+# one definition near or over 64 KiB, so that its entry takes more than one os.read;
+# multi-byte units put characters across the boundary between two reads
+LONG_ENTRIES = st.builds(
+    lambda unit, extra: {"found": True, "definitions": [unit * ((_READ_SIZE + extra) // len(unit.encode()))]},
+    st.sampled_from(["a", "\u00e9", "\u65e5", "\U0001f600"]),
+    st.integers(-64, 4096),
+)
+# invalid or truncated UTF-8, a BOM, line ends and bytes that end a JSON string
+FRAGMENTS = st.sampled_from(
+    [b"\xff", b"\x80", b"\xc3", b"\xe6\x97", b"\xf0\x9f\x98", b"\xed\xa0\x80", b"\xc0\xaf",
+     b"\xef\xbb\xbf", b"\r", b"\r\n", b"\x00", b'"', b"\\"]
+) | st.binary(min_size=1, max_size=4)
+
+
+@st.composite
+def entry_bytes(draw) -> bytes:
+    """Bytes of a cache entry: JSON as the cache writes it or indented, with any line end,
+    then at the start, middle, end or anywhere else, cut short or given a fragment."""
+    value = draw(st.one_of(ENTRIES, JSON_VALUES, LONG_ENTRIES))
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()), indent=draw(st.sampled_from([None, 1])))
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))  # raw newlines are whitespace only
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.sampled_from([0, len(data) // 2, len(data), min(len(data), _READ_SIZE)]) | st.integers(0, len(data)))
+        data = data[:at] + draw(FRAGMENTS) + data[at:] if draw(st.booleans()) else data[:at]
+    return data
+
+
+_LONG_UTF8 = json.dumps({"found": True, "definitions": ["\u65e5" * 30000]}, ensure_ascii=False).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(entry_bytes(), st.binary(max_size=64)))
+@example(b"null")
+@example(b"")
+@example(b"\xef\xbb\xbf" + b'{"found": false, "definitions": []}')
+@example(b'{"found": true,\r\n "definitions": ["a nun"]}\r\n')
+@example(b'{"found": true,\r\n "definitions": ["a\rnun"]}')
+@example(UNDECODABLE_ENTRY)
+@example(b"\xc3" + b'{"found": false, "definitions": []}')
+@example(b'{"found": false, "definitions": []}\xe6\x97')
+@example(_LONG_UTF8)
+@example(_LONG_UTF8[:_READ_SIZE + 1] + b"\xff" + _LONG_UTF8[_READ_SIZE + 1:])
+@example(_LONG_UTF8[:-3])
+@example('{"found": false, "definitions": []}'.encode("utf-16"))
+@example('{"found": false, "definitions": []}'.encode("utf-16-le"))
+@example('{"found": false, "definitions": []}'.encode("utf-32"))
+def test_byte_reader_matches_the_text_mode_reader(data):
+    """``read_entry`` gives the value, or the DataFormatError message, of the text-mode reader.
+
+    One difference is admitted. Text mode turned each "\\r\\n" and "\\r" into "\\n",
+    and bytes are read as they are, so in a file that holds "\\r" the line, column and
+    char numbers of a JSON error may differ. No parse can change its outcome by it:
+    "\\r" and "\\n" are both whitespace between tokens and both forbidden in strings.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "nun.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        new, old = _outcome(read_entry, path), _outcome(_text_mode_read_entry, path)
+    if b"\r" in data and new[0] == old[0] == "error":
+        new, old = [(kind, _JSON_POSITION.sub("<position>", message)) for kind, message in (new, old)]
+    assert new == old
+
+
+def test_byte_reader_of_a_directory_or_a_path_under_a_file(tmp_path):
+    entry = tmp_path / "nun.json"
+    entry.mkdir()
+    with pytest.raises(DataFormatError, match=r"nun\.json: a directory, not a file"):
+        read_entry(str(entry))
+    assert _outcome(read_entry, str(entry)) == _outcome(_text_mode_read_entry, str(entry))
+    (tmp_path / "file").write_text("{}")
+    under = str(tmp_path / "file" / "nun.json")
+    assert read_entry(under) is _MISSING and _text_mode_read_entry(under) is _MISSING
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_cached_lookups_leak_no_descriptor(tmp_path):
+    provider = _live(tmp_path, StubSession({"nun": _mw_page("a woman belonging to a religious order")}))
+    provider.lookup("nun")
+    cache_file(tmp_path, "merriam_webster", "monk").mkdir()
+    before = sorted(os.listdir("/proc/self/fd"))
+    for i in range(200):
+        assert provider.lookup("nun") is not None  # a hit
+        assert provider.lookup(f"qzxv{i}") is None  # a miss, fetched and written
+        with pytest.raises(DataFormatError):
+            provider.lookup("monk")  # an entry that opens but cannot be read
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(ENTRIES, LONG_ENTRIES))
+@example({"found": True, "definitions": ["caf\u00e9 \U0001f600 \"quoted\"\n\t\x00 \\"]})
+def test_written_entry_bytes_match_the_streamed_writer(entry):
+    with tempfile.TemporaryDirectory() as tmp:
+        written, streamed = os.path.join(tmp, "nun.json"), os.path.join(tmp, "streamed")
+        write_entry_atomic(written, entry)
+        _streamed_write(streamed, entry)
+        with open(written, "rb") as a, open(streamed, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_entry_write_survives_short_writes(tmp_path, monkeypatch):
+    entry = {"found": True, "definitions": ["\u65e5" * 1000, "a nun"]}
+    real_write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    write_entry_atomic(str(tmp_path / "nun.json"), entry)
+    monkeypatch.undo()
+    _streamed_write(str(tmp_path / "streamed"), entry)
+    assert (tmp_path / "nun.json").read_bytes() == (tmp_path / "streamed").read_bytes()
+    assert len(calls) > 400
+
+
+def test_failed_entry_write_leaves_the_old_entry_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "nun.json"
+    write_entry_atomic(str(path), {"found": False, "definitions": []})
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full)
+    with pytest.raises(OSError, match="No space left"):
+        write_entry_atomic(str(path), {"found": True, "definitions": ["a nun"]})
+    assert [p.name for p in tmp_path.iterdir()] == ["nun.json"]
+    assert json.loads(path.read_bytes()) == {"found": False, "definitions": []}
 
 
 def test_bundled_snapshots_cover_gold(bundled_providers, gold):

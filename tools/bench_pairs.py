@@ -5,10 +5,14 @@ Usage (from the root of a checkout)::
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
         --workload corpus_wndb --seed 3101 [--out FILE]
+    python3 tools/bench_pairs.py --parent HEAD --change . --seed 3101 --out FILE
 
 Each revision is checked out into its own temporary ``git worktree``, so
-each side runs its own ``perfbench/run.py`` on its own ``src/``. Both
-worktrees are removed on exit. Pair ``i`` runs both sides with seed
+each side runs its own ``perfbench/run.py`` on its own ``src/``. The
+worktrees are removed on exit. A side may instead name a directory that
+holds ``perfbench/run.py`` and ``src/lexgender/`` (an export, or a checkout
+with uncommitted edits); it is run as it is, and ``--out`` is then required.
+Pair ``i`` runs both sides with seed
 ``seed + i``, the parent first when ``i`` is even and the change first
 when it is odd. Every run lasts the ``run_seconds`` that ``BENCHMARK.json``
 fixes. Without ``--workload`` every workload of ``BENCHMARK.json`` runs,
@@ -16,6 +20,7 @@ one after the other within each pair.
 
 For every workload and end-to-end metric the output file (default
 ``BENCH_<short change sha>.json`` in the checkout) records each side's
+revision or directory, the distinct ``src_sha256`` its runs reported, its
 runs, median and quartiles, the pairs the change won and lost, and whether
 the gain rule holds: the change wins at least nine in ten of all pairs run,
 its median beats the parent's by more than the distance between the
@@ -120,8 +125,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result object of one untraced run in ``tree``, or None."""
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str | None]:
+    """The result object of one untraced run in ``tree`` (or None) and the ``src_sha256`` it reports."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -129,10 +134,15 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict | Non
     )
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         print(f"  {tree.name} {workload}: no result (exit {proc.returncode})\n{proc.stderr[-2000:]}", file=sys.stderr)
-        return None
+        return None, None
+    try:  # the line before the result holds the run's details
+        source = json.loads(lines[-2])["perfbench"]["environment"]["src_sha256"]
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError):
+        source = None
+    return result, source
 
 
 def _stop(signum, frame):
@@ -142,47 +152,68 @@ def _stop(signum, frame):
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="revision measured as the baseline")
-    parser.add_argument("--change", required=True, help="revision measured against it")
+    parser.add_argument("--parent", required=True, help="revision (or directory) measured as the baseline")
+    parser.add_argument("--change", required=True, help="revision (or directory) measured against it")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--out", type=Path, help="output file (default BENCH_<short change sha>.json)")
+    parser.add_argument("--out", type=Path,
+                        help="output file (default BENCH_<short change sha>.json; required with a directory)")
     parser.add_argument("--workdir", type=Path, help="where the temporary worktrees go")
     args = parser.parse_args(argv)
 
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    shas = {side: git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}") for side in SIDES}
+    trees: dict[str, Path] = {}  # the sides given as directories, run as they are
+    shas: dict[str, str] = {}  # the sides given as revisions
+    for side in SIDES:
+        value = getattr(args, side)
+        if os.path.isdir(value):
+            trees[side] = Path(value).resolve()
+            if not (trees[side] / "perfbench" / "run.py").is_file() or not (trees[side] / "src" / "lexgender").is_dir():
+                parser.error(f"--{side} {value}: a directory must hold perfbench/run.py and src/lexgender/")
+        else:
+            shas[side] = git("rev-parse", "--verify", f"{value}^{{commit}}")
+    if trees and args.out is None:
+        parser.error("--out is required when --parent or --change is a directory")
     out = args.out or ROOT / f"BENCH_{git('rev-parse', '--short', shas['change'])}.json"
 
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGHUP, _stop)
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir))
-    trees: dict[str, Path] = {}
+    worktrees: list[Path] = []
+    sources: dict[str, list] = {side: [] for side in SIDES}
     pairs: list[dict] = []
     try:
-        for side in SIDES:
+        for side, sha in shas.items():
             trees[side] = tmp / side
-            git("worktree", "add", "--detach", str(trees[side]), shas[side])
+            git("worktree", "add", "--detach", str(trees[side]), sha)
+            worktrees.append(trees[side])
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 pair = {"workload": workload, "seed": args.seed + i}
                 for side in order:
-                    pair[side] = run_side(trees[side], workload, args.seed + i, spec["run_seconds"])
+                    pair[side], source = run_side(trees[side], workload, args.seed + i, spec["run_seconds"])
+                    sources[side].append(source)
                     print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
                           f"{json.dumps((pair[side] or {}).get('metrics'))}", file=sys.stderr)
                 pairs.append(pair)
     finally:
-        for tree in trees.values():
+        for tree in worktrees:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
 
+    sides = {
+        side: dict(
+            {"rev": getattr(args, side), "sha": shas[side]} if side in shas else {"path": str(trees[side])},
+            src_sha256=list(dict.fromkeys(sources[side])),
+        )
+        for side in SIDES
+    }
     report = {
-        "parent": {"rev": args.parent, "sha": shas["parent"]},
-        "change": {"rev": args.change, "sha": shas["change"]},
+        **sides,
         "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": spec["run_seconds"],
                      "order": "parent first in even pairs (0, 2, ...), change first in odd ones"},
         "environment": {"python": platform.python_version(), "platform": platform.platform(),
