@@ -26,7 +26,7 @@ from lexgender.providers import (
     load_noun_index,
     snapshot_write,
 )
-from lexgender.providers.httpdict import _MISSING, read_entry, write_entry_atomic
+from lexgender.providers.httpdict import _MISSING, _READ_SIZE, read_entry, write_entry_atomic
 
 # --- WNDB parsing -----------------------------------------------------------
 
@@ -667,7 +667,6 @@ def _outcome(reader, path: str) -> tuple[str, str]:
 
 
 _JSON_POSITION = re.compile(r"line \d+ column \d+ \(char \d+\)")
-_READ_SIZE = 1 << 16  # what read_entry asks of one os.read
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -679,7 +678,7 @@ ENTRIES = st.builds(
     st.booleans(),
     st.lists(st.text(), max_size=3),
 )
-# one definition near or over 64 KiB, so that its entry takes more than one os.read;
+# one definition near or over _READ_SIZE (64 KiB), so that its entry takes more than one os.read;
 # multi-byte units put characters across the boundary between two reads
 LONG_ENTRIES = st.builds(
     lambda unit, extra: {"found": True, "definitions": [unit * ((_READ_SIZE + extra) // len(unit.encode()))]},
