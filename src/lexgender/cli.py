@@ -96,9 +96,10 @@ def _source_options(parser: argparse.ArgumentParser) -> None:
 
 def _param_options(parser: argparse.ArgumentParser) -> None:
     tuning = parser.add_argument_group("classifier parameters")
-    tuning.add_argument("-d", type=int, default=4, help="definitions per dictionary (default 4)")
-    tuning.add_argument("-t", type=int, default=20, help="tokens per definition (default 20)")
-    tuning.add_argument("-w", type=int, default=5, help="seed pairs used (default 5)")
+    default = ClassifierParams()
+    tuning.add_argument("-d", type=int, default=default.d, help="definitions per dictionary (default %(default)s)")
+    tuning.add_argument("-t", type=int, default=default.t, help="tokens per definition (default %(default)s)")
+    tuning.add_argument("-w", type=int, default=default.w, help="seed pairs used (default %(default)s)")
 
 
 def _format_option(parser: argparse.ArgumentParser, *formats: str) -> None:
@@ -271,6 +272,12 @@ def _parse_range(text: str) -> range | tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid range {text!r}: expected LO..HI or a comma list") from None
 
 
+def _range_text(values: tuple[int, ...]) -> str:
+    """``values`` as ``_parse_range`` reads them: 'LO..HI' when consecutive, else a comma list."""
+    lo, hi = values[0], values[-1]
+    return f"{lo}..{hi}" if values == tuple(range(lo, hi + 1)) else ",".join(map(str, values))
+
+
 def _cmd_grid_search(args, parser: _Parser) -> int:
     providers = _build_providers(args, parser)
     gold_file = args.gold or bundled.gold_path()
@@ -366,9 +373,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid-search", help="search (d, t, w) for best combined accuracy")
     p.add_argument("--gold", metavar="FILE", help="gold TSV (default: bundled list)")
-    p.add_argument("--d-range", type=_parse_range, default="2..10", help="definitions range (default 2..10)")
-    p.add_argument("--t-range", type=_parse_range, default="5,10,15,20,25,30,35", help="token range")
-    p.add_argument("--w-range", type=_parse_range, default="2..8", help="seed-pair range (default 2..8)")
+    p.add_argument("--d-range", type=_parse_range, default=_range_text(GRID_D_RANGE), help="definitions range (default %(default)s)")
+    p.add_argument("--t-range", type=_parse_range, default=_range_text(GRID_T_RANGE), help="token range (default %(default)s)")
+    p.add_argument("--w-range", type=_parse_range, default=_range_text(GRID_W_RANGE), help="seed-pair range (default %(default)s)")
     _source_options(p)
     _format_option(p, "table", "json")
     p.set_defaults(func=_cmd_grid_search, parser=p)

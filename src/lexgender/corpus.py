@@ -10,7 +10,7 @@ classified and tabulated per gender label.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import count
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classifier import ClassificationResult, ROUTE_DICTIONARY, classify
@@ -18,11 +18,6 @@ from .core import ClassifierParams, GenderLabel, SeedLexicon
 from .errors import DataFormatError, TransportError
 
 NOUN_TAGS = ("NN", "NNS")
-
-# Lines read and counted per batch by ingest_tagged; one batch is held in
-# memory at a time.
-_BATCH_LINES = 16384
-
 
 class NounRecord(NamedTuple):
     surface: str
@@ -94,29 +89,20 @@ def _noun_key(line: str) -> tuple[str, str] | None:
 def _noun_counts(lines: Iterable[str]) -> dict[tuple[str, str], int]:
     """Frequency per (surface, POS), splitting and checking each distinct line once.
 
-    Identical lines are counted in C, one batch at a time; the batch and
-    the distinct lines are all that is held in memory.
+    One pass in C counts the lines by the number of the line each first
+    occurs on; the distinct lines, one number each, are all that is held in
+    memory. So the whole input is read before a malformed line is reported.
     """
-    line_counts: Counter[str] = Counter()
-    keys: list[tuple[str, str] | None] = []  # one per line_counts entry, same order
-    lines = iter(lines)
-    batch_start = 0
-    while batch := list(islice(lines, _BATCH_LINES)):
-        seen = len(line_counts)
-        line_counts.update(batch)  # a new line is appended at its first occurrence
-        # taken from the end, so the lines of earlier batches are not walked again
-        new_lines = list(islice(reversed(line_counts), len(line_counts) - seen))
-        for line in reversed(new_lines):
-            try:
-                keys.append(_noun_key(line))
-            except ValueError as exc:
-                lineno = batch_start + batch.index(line) + 1
-                raise DataFormatError(f"line {lineno}: {exc}") from None
-        batch_start += len(batch)
+    first: dict[str, int] = {}  # distinct line -> its first line number, in order of first occurrence
+    frequency = Counter(map(first.setdefault, lines, count(1)))
     counts: dict[tuple[str, str], int] = {}
-    for key, frequency in zip(keys, line_counts.values()):
+    for line, lineno in first.items():
+        try:
+            key = _noun_key(line)
+        except ValueError as exc:
+            raise DataFormatError(f"line {lineno}: {exc}") from None
         if key is not None:
-            counts[key] = counts.get(key, 0) + frequency
+            counts[key] = counts.get(key, 0) + frequency[lineno]
     return counts
 
 

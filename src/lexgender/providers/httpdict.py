@@ -41,7 +41,7 @@ SITES = {
 _USER_AGENT = "lexgender/0.1 (lexical gender research tool)"
 _MISSING = object()  # read_entry's answer for an absent entry; a file may hold JSON null
 _MAX_NAME = 250  # bytes of an entry name before ".json", within the usual 255-byte file name limit
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
 _READ_SIZE = 1 << 16  # bytes asked of each os.read; nearly every entry fits in one
 
 
@@ -97,6 +97,8 @@ def read_entry(path: str) -> object:
         return _MISSING
     except IsADirectoryError as exc:  # from os.read where a directory opens, as on Linux
         raise DataFormatError(f"corrupt cache entry {path}: a directory, not a file") from exc
+    except BlockingIOError as exc:  # a FIFO with an idle writer; with no writer it reads b""
+        raise DataFormatError(f"corrupt cache entry {path}: a pipe, not a file") from exc
     try:
         return json.loads(b"".join(chunks).decode("utf-8"))
     except UnicodeDecodeError as exc:

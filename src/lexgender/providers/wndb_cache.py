@@ -11,8 +11,9 @@ the parsing rules or the layout makes the cache stale. A cache whose key
 differs, or whose records fail any check, is never read: the text files
 are parsed and, once the parse has passed every check, the cache is
 rewritten. A directory that cannot be written and holds no cache is
-parsed on every load, without hashing anything. A cache is read only if
-no one but this user or the owner of ``data.noun`` can have written it.
+parsed on every load, without hashing anything. A cache is read only if it
+is a regular file that no one but this user or the owner of ``data.noun``
+can have written.
 
 Layout: magic, key, the numbers of gloss, sense and lemma records (4-byte
 little-endian), then each record as its 4-byte length, its ``marshal``
@@ -33,6 +34,7 @@ import sys
 import tempfile
 from itertools import chain, islice
 from pathlib import Path
+from stat import S_ISREG
 
 from . import wndb
 
@@ -40,6 +42,7 @@ CACHE_FILE = "lexgender-noun-index.cache"
 
 _MAGIC = b"lexgender noun index\n"
 _RECORD_ITEMS = 8192  # glosses, sense rows or lemmas per record
+_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
 
 
 def load_cached(directory: Path) -> wndb.NounIndex:
@@ -119,8 +122,8 @@ def read_cache(path: Path, key: bytes | None) -> wndb.NounIndex | None:
     """The index cached at ``path`` under ``key``, or None if it is missing, stale or malformed."""
     if key is None:
         return None
-    try:
-        with open(path, "rb") as fh:
+    try:  # a FIFO opens at once, then fails _trusted's regular-file check
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | _NONBLOCK)) as fh:
             st = os.fstat(fh.fileno())
             if not _trusted(st, path.parent):
                 return None
@@ -130,13 +133,13 @@ def read_cache(path: Path, key: bytes | None) -> wndb.NounIndex | None:
 
 
 def _trusted(st: os.stat_result, directory: Path) -> bool:
-    """Whether only this user or the database's owner can have written the cache ``st``.
+    """Whether ``st`` is a regular file that only this user or the database's owner can have written.
 
     The digests catch damage, not a crafted file, and ``marshal`` is not
     safe for crafted input. Where there are no owners to check, no cache is
     trusted.
     """
-    if not hasattr(os, "getuid") or st.st_mode & 0o022:  # group- or world-writable
+    if not hasattr(os, "getuid") or not S_ISREG(st.st_mode) or st.st_mode & 0o022:  # 0o022: group- or world-writable
         return False
     return st.st_uid in (os.getuid(), os.stat(directory / wndb.DATA_FILE).st_uid)
 

@@ -1,3 +1,5 @@
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,47 @@ def toy_corpus_file():
 @pytest.fixture()
 def tests_data():
     return TESTS_DATA
+
+
+@pytest.fixture()
+def make_fifo():
+    """``make_fifo(path, idle_writer)`` puts a FIFO at ``path``, held open by a writer that never writes if asked."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("os.mkfifo is not available")
+    writers = []
+
+    def make(path, idle_writer=False):
+        os.mkfifo(path)
+        if idle_writer:  # opened read-write, so this open waits for no reader
+            writers.append(os.open(path, os.O_RDWR | os.O_NONBLOCK))
+
+    yield make
+    for fd in writers:
+        os.close(fd)
+
+
+@pytest.fixture()
+def within_5s():
+    """``within_5s(fn, *args)`` returns or raises as ``fn(*args)`` does, run in a daemon thread.
+
+    A call still blocked after 5 s fails the test instead of hanging the suite.
+    """
+
+    def run(fn, *args):
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = fn(*args)
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), f"{getattr(fn, '__qualname__', fn)} still blocked after 5 s"
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return run

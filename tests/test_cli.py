@@ -10,6 +10,7 @@ import pytest
 import requests
 
 from lexgender.cli import _parse_range, build_parser, main
+from lexgender.core import GRID_D_RANGE, GRID_T_RANGE, GRID_W_RANGE, ClassifierParams
 from lexgender.data import gold_path, snapshot_path, toy_corpus_path, wndb_dir
 from lexgender.providers import cache_file
 
@@ -266,6 +267,36 @@ def test_grid_search_span_range_is_not_expanded():
     assert _parse_range("5,10,15") == (5, 10, 15)
 
 
+def test_option_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["grid-search"])
+    assert (tuple(args.d_range), tuple(args.t_range), tuple(args.w_range)) == (
+        GRID_D_RANGE,
+        GRID_T_RANGE,
+        GRID_W_RANGE,
+    )
+    for argv in (["classify", "nun"], ["evaluate"], ["corpus-report", "toy.tsv"]):
+        args = parser.parse_args(argv)
+        assert ClassifierParams(args.d, args.t, args.w) == ClassifierParams()
+
+
+@pytest.mark.parametrize(
+    "subcommand, shown",
+    [
+        ("grid-search", ["definitions range (default 2..10)", "token range (default 5,10,15,20,25,30,35)",
+                         "seed-pair range (default 2..8)"]),
+        ("evaluate", ["definitions per dictionary (default 4)", "tokens per definition (default 20)",
+                      "seed pairs used (default 5)"]),
+    ],
+)
+def test_help_shows_the_defaults(capsys, subcommand, shown):
+    code, out, _ = run(capsys, subcommand, "--help")
+    assert code == 0
+    help_text = " ".join(out.split())  # however argparse wraps it
+    for text in shown:
+        assert text in help_text
+
+
 @pytest.mark.parametrize(
     "argv, sha256",
     [
@@ -328,6 +359,16 @@ def test_corpus_report_malformed_line_names_file(capsys, tmp_path):
     code, out, err = run(capsys, "corpus-report", str(tagged))
     assert code == 3
     assert f"bad data: {tagged}: line 2: expected token<TAB>POS, got 'nun NN'" in err
+    assert "Traceback" not in err and not out
+
+
+def test_corpus_report_bad_byte_after_a_malformed_line_is_reported(capsys, tmp_path):
+    # the whole corpus is read before a malformed line is reported, so a later bad byte wins
+    tagged = tmp_path / "bad.tsv"
+    tagged.write_bytes(b"the\tDT\nnun NN\n" + b"nun\tNN\n" * 20000 + b"caf\xe9\tNN\n")
+    code, out, err = run(capsys, "corpus-report", str(tagged))
+    assert code == 3
+    assert f"bad data: {tagged}: not UTF-8 text (byte 0xe9" in err
     assert "Traceback" not in err and not out
 
 
@@ -417,6 +458,21 @@ def test_live_cache_entry_that_is_a_directory_exits_3(capsys, tmp_path, monkeypa
     assert code == 3
     assert "bad data" in err and "nun.json" in err
     assert not out
+
+
+def test_live_cache_entry_that_is_a_fifo_exits_3(capsys, tmp_path, monkeypatch, make_fifo, within_5s):
+    def explode(*args, **kwargs):
+        raise AssertionError("a cache entry that is a FIFO must not be refetched")
+
+    monkeypatch.setattr(requests.Session, "get", explode)
+    path = cache_file(tmp_path, "merriam_webster", "nun")
+    path.parent.mkdir(parents=True)
+    make_fifo(path)
+    code = within_5s(main, ["classify", "nun", "--live", "merriam_webster", "--cache-root", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "bad data: corrupt cache entry" in captured.err and "nun.json" in captured.err
+    assert not captured.out
 
 
 def test_live_cache_provider_path_a_file_exits_1_without_request(capsys, tmp_path, monkeypatch):

@@ -450,6 +450,17 @@ def test_cache_entry_that_is_a_directory_is_data_error(tmp_path):
     assert session.calls == 0
 
 
+@pytest.mark.parametrize("idle_writer", [False, True], ids=["no writer", "idle writer"])
+def test_cache_entry_that_is_a_fifo_is_data_error_not_a_hang(tmp_path, make_fifo, within_5s, idle_writer):
+    path = cache_file(tmp_path, "merriam_webster", "nun")
+    path.parent.mkdir(parents=True)
+    make_fifo(path, idle_writer)
+    session = StubSession({"nun": _mw_page("a woman belonging to a religious order")})
+    with pytest.raises(DataFormatError, match=rf"^corrupt cache entry {re.escape(str(path))}: "):
+        within_5s(_live(tmp_path, session).lookup, "nun")
+    assert session.calls == 0
+
+
 @pytest.mark.parametrize("blocked", ["cache root", "provider directory"])
 def test_unusable_cache_directory_fails_before_the_request(tmp_path, blocked):
     root = tmp_path / "cache"

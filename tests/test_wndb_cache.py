@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 
 from lexgender.errors import DataFormatError
-from lexgender.providers import load_noun_index, wndb, wndb_cache
+from lexgender.providers import WordNetProvider, load_noun_index, wndb, wndb_cache
 
 CACHE = wndb_cache.CACHE_FILE
 
@@ -305,6 +305,14 @@ def test_cache_writable_by_others_is_ignored_and_rewritten(db, mode):
     assert _cached(db) is None
     assert load_noun_index(db) == fresh
     assert (db / CACHE).stat().st_mode & 0o777 == 0o644 and _cached(db) == fresh
+
+
+@pytest.mark.parametrize("idle_writer", [False, True], ids=["no writer", "idle writer"])
+def test_cache_that_is_a_fifo_is_ignored_and_replaced(db, make_fifo, within_5s, idle_writer):
+    make_fifo(db / CACHE, idle_writer)
+    provider = within_5s(WordNetProvider, db)
+    assert provider.lookup("nun") == WordNetProvider(db).lookup("nun") is not None
+    assert (db / CACHE).is_file() and _cached(db) == _parsed(db)
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="giving a file away needs root")
