@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classifier import ClassificationResult, ROUTE_DICTIONARY, classify
 from .core import ClassifierParams, GenderLabel, SeedLexicon
-from .errors import DataFormatError, TransportError
+from .errors import DataFormatError
 
 NOUN_TAGS = ("NN", "NNS")
 
@@ -57,15 +57,6 @@ def _clean_surface(token: str) -> str | None:
     if not surface or (letters and not letters.isalpha()):
         return None
     return surface
-
-
-class InventoryAborted(TransportError):
-    """A live lookup failed mid-inventory; carries the completed portion."""
-
-    def __init__(self, word: str, partial: dict[str, ClassificationResult], cause: Exception):
-        super().__init__(f"classification aborted at {word!r}: {cause}")
-        self.word = word
-        self.partial = partial
 
 
 def _noun_key(line: str) -> tuple[str, str] | None:
@@ -127,17 +118,13 @@ def classify_inventory(
     """Classify each distinct surface once.
 
     NN and NNS records share a result only when their surfaces are
-    identical. A transport error aborts the run but hands back everything
-    classified so far, so a cached rerun can resume cheaply.
+    identical. A live source's TransportError propagates as it is; a rerun
+    over the same cache sends no request for the words already fetched.
     """
     results: dict[str, ClassificationResult] = {}
     for record in records:
-        if record.surface in results:
-            continue
-        try:
+        if record.surface not in results:
             results[record.surface] = classify(record.surface, providers, params, lexicon)
-        except TransportError as exc:
-            raise InventoryAborted(record.surface, results, exc) from exc
     return results
 
 
@@ -152,10 +139,7 @@ def gendered_sample(results: Mapping[str, ClassificationResult]) -> list[str]:
     gendered = (GenderLabel.MASC, GenderLabel.FEM)
     sample = []
     for word, result in results.items():
-        if result.route != ROUTE_DICTIONARY:
-            if result.combined in gendered:
-                sample.append(word)
-        elif any(v.label in gendered for v in result.verdicts):
+        if result.route != ROUTE_DICTIONARY or any(v.label in gendered for v in result.verdicts):
             sample.append(word)
     return sorted(sample)
 

@@ -14,8 +14,6 @@ import re
 from html import unescape
 from typing import NamedTuple
 
-from ..errors import TransportError
-
 
 class DialectRules(NamedTuple):
     definition_tag: str
@@ -72,16 +70,14 @@ def _has_class(html: str, start: int, end: int, wanted: str) -> bool:
 def extract_definitions_html(html: str, dialect: str) -> list[str]:
     """Visible sense-definition texts from an entry page, in page order.
 
-    Returns an empty list when the page parses but contains no noun
-    definitions (word effectively not found). Raises TransportError for
-    input that is not a page at all.
+    Returns an empty list when the page holds no noun definitions, as an
+    empty string does; the live client rejects an empty page before it
+    gets here.
     """
     try:
         rules = DIALECTS[dialect]
     except KeyError:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {sorted(DIALECTS)}")
-    if not html or not html.strip():
-        raise TransportError("empty response where an entry page was expected")
     definitions: list[str] = []
     buf: list[str] = []  # text of the definition being read
     depth, pos_pending = 0, False  # inside a definition (depth > 0), a part-of-speech label

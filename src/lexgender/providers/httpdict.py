@@ -171,7 +171,11 @@ class CachedHttpProvider:
         return DefinitionSet(word=word, provider_id=self.provider_id, definitions=definitions)
 
     def _fetch(self, word: str) -> dict:
-        """The entry for ``word`` from the network; the caller holds ``self._lock``."""
+        """The entry for ``word`` from the network; the caller holds ``self._lock``.
+
+        The one place a live lookup fails: a session error, a status other than 200
+        or 404, or an empty page raises TransportError naming the provider and the word.
+        """
         url = self.site.url_template.format(word=urllib.parse.quote(word, safe=""))
         wait = self._last_request + self.min_request_interval - time.monotonic()
         if wait > 0:
@@ -191,5 +195,8 @@ class CachedHttpProvider:
             raise TransportError(
                 f"{self.provider_id}: HTTP {response.status_code} for {word!r}"
             )
-        definitions = extract_definitions_html(response.text, self.site.dialect)
+        page = response.text  # requests decodes the body anew on every read
+        if not page or page.isspace():
+            raise TransportError(f"{self.provider_id}: empty page for {word!r}")
+        definitions = extract_definitions_html(page, self.site.dialect)
         return {"found": bool(definitions), "definitions": definitions}

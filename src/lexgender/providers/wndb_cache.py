@@ -123,13 +123,20 @@ def read_cache(path: Path, key: bytes | None) -> wndb.NounIndex | None:
     if key is None:
         return None
     try:  # a FIFO opens at once, then fails _trusted's regular-file check
-        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | _NONBLOCK)) as fh:
+        fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | _NONBLOCK))
+    except OSError:
+        return None
+    with fh:
+        try:
             st = os.fstat(fh.fileno())
             if not _trusted(st, path.parent):
                 return None
+        except OSError:
+            return None
+        try:  # only a damaged record's bytes may fail to unmarshal or to pass a check
             return _read_records(fh, key, st.st_size)
-    except (OSError, EOFError, ValueError, TypeError):
-        return None
+        except (OSError, EOFError, ValueError, TypeError):
+            return None
 
 
 def _trusted(st: os.stat_result, directory: Path) -> bool:

@@ -27,8 +27,9 @@ def _result(setup_s, rate, failed=0):
 
 
 def _pairs(parent, change, workload="w"):
+    """Pairs run as ``main`` runs them: the parent first in even pairs, the change in odd ones."""
     return [
-        {"workload": workload, "seed": i, "parent": _result(*a), "change": _result(*b)}
+        {"workload": workload, "seed": i, "first": bench_pairs.SIDES[i % 2], "parent": _result(*a), "change": _result(*b)}
         for i, (a, b) in enumerate(zip(parent, change))
     ]
 
@@ -114,6 +115,24 @@ def test_gain_rule_fails_when_the_change_fails_more_operations(parent_failed, ch
     assert summary["metrics"]["setup_s"]["gain_rule_holds"] is holds
 
 
+def test_a_metric_won_by_the_side_that_ran_first_is_order_driven():
+    # setup_s: whichever side runs first reads 0.1 s lower, in all ten pairs
+    parent = [(1.0 if i % 2 == 0 else 1.1, 1) for i in range(10)]
+    change = [(1.1 if i % 2 == 0 else 1.0, 1) for i in range(10)]
+    pairs = _pairs(parent, change)
+    setup = bench_pairs.summarize(pairs, METRICS)["w"]["metrics"]["setup_s"]
+    assert (setup["change_wins"], setup["change_losses"], setup["first_wins"]) == (5, 5, 10)
+    assert setup["order_driven"] and not setup["gain_rule_holds"]
+    # rate ties in every pair: no side wins, so nothing follows the order
+    assert bench_pairs.summarize(pairs, METRICS)["w"]["metrics"]["rate"]["first_wins"] == 0
+    # a clean win by the change: the first side wins only the five pairs the change ran first
+    clear = bench_pairs.summarize(_pairs(PARENT_10, FASTER_10), METRICS)["w"]["metrics"]["setup_s"]
+    assert (clear["first_wins"], clear["order_driven"]) == (5, False)
+    pairs[0]["change"] = None  # eight of the nine pairs compared still fall short of nine tenths
+    pairs[1]["change"] = dict(pairs[1]["change"], metrics={"setup_s": {"value": 1.1, "unit": "s"}})
+    assert not bench_pairs.summarize(pairs, METRICS)["w"]["metrics"]["setup_s"]["order_driven"]
+
+
 # A stand-in for perfbench/run.py: it prints a details line and a result line as
 # the real one does, with a setup_s read from its tree, and runs no benchmark.
 FAKE_RUN = """
@@ -165,6 +184,8 @@ def test_directory_sides_run_as_they_are(tmp_path, kept_signal_handlers):
     setup = report["workloads"]["live_stub"]["metrics"]["setup_s"]
     assert setup["parent"]["values"] == pytest.approx([1.0007, 1.0008, 1.0009])
     assert setup["change_wins"] == 3 and setup["gain_rule_holds"]
+    assert [p["first"] for p in report["pairs"]] == ["parent", "change", "parent"]
+    assert setup["first_wins"] == 1  # the change reads lower in every pair, and ran first in one
 
 
 def test_a_directory_side_needs_out_and_a_benchmark(tmp_path, capsys):

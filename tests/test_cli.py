@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -331,6 +332,7 @@ def test_corpus_report_cli(capsys, tmp_path):
     assert lines["masc"] == ["1", "0", "1"]
     assert lines["fem"] == ["1", "0", "1"]
     assert lines["not_found"] == ["0", "1", "1"]
+    assert lines["all"] == ["2", "1", "3"]
 
 
 def test_corpus_report_sample_out(capsys, tmp_path, toy_corpus_file):
@@ -428,6 +430,26 @@ def test_transport_error_exit_code(capsys, tmp_path, monkeypatch):
     )
     assert code == 2
     assert "transport error" in err
+
+
+@pytest.mark.parametrize("subcommand", ["classify", "corpus-report"])
+def test_live_empty_page_exits_2_naming_provider_and_word(capsys, tmp_path, monkeypatch, subcommand):
+    def empty_page(*args, **kwargs):
+        return SimpleNamespace(status_code=200, text=" \n")
+
+    monkeypatch.setattr(requests.Session, "get", empty_page)
+    tagged = tmp_path / "tagged.tsv"
+    tagged.write_text("the\tDT\nsculptor\tNN\n")
+    code, out, err = run(
+        capsys,
+        subcommand, "sculptor" if subcommand == "classify" else str(tagged),
+        "--live", "merriam_webster",
+        "--cache-root", str(tmp_path / "cache"),
+        "--min-interval", "0.001",
+    )
+    assert code == 2
+    assert err == "lexgender: transport error: merriam_webster: empty page for 'sculptor'\n"
+    assert not out
 
 
 def test_live_corrupt_cache_exits_3(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import io
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from lexgender.classifier import classify
 from lexgender.core import GenderLabel
 from lexgender.corpus import (
     NOUN_TAGS,
-    InventoryAborted,
     NounRecord,
     _clean_surface,
     classify_inventory,
@@ -19,6 +19,7 @@ from lexgender.corpus import (
     ingest_tagged,
 )
 from lexgender.errors import DataFormatError, TransportError
+from lexgender.providers import CachedHttpProvider, cache_file
 
 MASC, FEM, NEUT, NF = (
     GenderLabel.MASC,
@@ -190,22 +191,21 @@ def test_inventory_empty():
     assert classify_inventory([], [object()]) == {}
 
 
-def test_inventory_aborts_with_partial_progress(bundled_providers):
-    class ExplodingProvider:
-        provider_id = "live"
-        deterministic = False
+def test_inventory_passes_the_fetch_error_through(bundled_providers, tmp_path):
+    pages = {"chair": "<html></html>", "table": ""}  # the second word's page comes back empty
 
-        def lookup(self, word):
-            if word == "table":
-                raise TransportError("socket closed")
-            return None
+    def get(url, headers=None, timeout=None):
+        return SimpleNamespace(status_code=200, text=pages[url.rsplit("/", 1)[1]])
 
-    records = [NounRecord("nun", "NN", 1), NounRecord("table", "NN", 1)]
-    providers = [bundled_providers[0], ExplodingProvider()]
-    with pytest.raises(InventoryAborted) as excinfo:
-        classify_inventory(records, providers)
-    assert excinfo.value.word == "table"
-    assert set(excinfo.value.partial) == {"nun"}
+    live = CachedHttpProvider("merriam_webster", tmp_path, 0.001, session=SimpleNamespace(get=get))
+    records = [NounRecord("chair", "NN", 1), NounRecord("table", "NN", 1)]
+    with pytest.raises(TransportError) as excinfo:
+        classify_inventory(records, [bundled_providers[0], live])
+    assert type(excinfo.value) is TransportError
+    assert str(excinfo.value) == "merriam_webster: empty page for 'table'"
+    assert live.request_count == 2  # chair, then table
+    assert cache_file(tmp_path, "merriam_webster", "chair").exists()
+    assert not cache_file(tmp_path, "merriam_webster", "table").exists()
 
 
 # --- gendered_sample -----------------------------------------------------------

@@ -86,6 +86,8 @@ MW_NOUN = '<span class="fl">noun</span>'
 DCOM_NOUN = '<span class="luna-pos">noun</span>'
 
 PINNED = [
+    ("empty", "mw", "", []),  # a pure parser: the live client rejects an empty page
+    ("whitespace", "dcom", "   \n ", []),
     (
         "nested-same-name",
         "mw",

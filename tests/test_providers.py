@@ -232,13 +232,6 @@ def test_dcom_page_noun_section_only(tests_data):
     ]
 
 
-def test_empty_html_is_transport_error():
-    with pytest.raises(TransportError):
-        extract_definitions_html("", "mw")
-    with pytest.raises(TransportError):
-        extract_definitions_html("   \n ", "dcom")
-
-
 def test_definitionless_page_returns_empty():
     html = "<html><body><p>word not in this dictionary</p></body></html>"
     assert extract_definitions_html(html, "mw") == []
@@ -338,6 +331,17 @@ def test_http_error_status_is_transport_error(tmp_path):
     provider = _live(tmp_path, session)
     with pytest.raises(TransportError):
         provider.lookup("nun")
+
+
+@pytest.mark.parametrize("page", ["", "   \n "], ids=["empty", "whitespace"])
+@pytest.mark.parametrize("provider_id", sorted(SITES))
+def test_empty_page_is_transport_error(tmp_path, provider_id, page):
+    provider = _live(tmp_path, StubSession({"nun": page}), provider_id)
+    with pytest.raises(TransportError) as excinfo:
+        provider.lookup("nun")
+    assert str(excinfo.value) == f"{provider_id}: empty page for 'nun'"
+    # nothing cached: a later attempt may succeed
+    assert not cache_file(tmp_path, provider_id, "nun").exists()
 
 
 def test_cache_filename_percent_encodes(tmp_path):

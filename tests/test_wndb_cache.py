@@ -215,6 +215,17 @@ def test_a_record_length_past_the_end_is_never_read(db, monkeypatch):
     assert sizes and max(sizes) <= path.stat().st_size
 
 
+def test_an_error_of_the_opener_is_not_read_as_no_cache(db, monkeypatch):
+    load_noun_index(db)
+
+    def broken_open(*args, **kwargs):
+        raise TypeError("a bug in the opener")
+
+    monkeypatch.setattr(wndb_cache, "open", broken_open, raising=False)
+    with pytest.raises(TypeError, match="a bug in the opener"):
+        wndb_cache.read_cache(db / CACHE, wndb_cache.cache_key(db))
+
+
 def test_cache_of_another_database_is_ignored(db, tmp_path):
     other = tmp_path / "other"
     shutil.copytree(db, other)

@@ -25,7 +25,10 @@ runs, median and quartiles, the pairs the change won and lost, and whether
 the gain rule holds: the change wins at least nine in ten of all pairs run,
 its median beats the parent's by more than the distance between the
 parent's quartiles, every run of the change passed its output checks, and
-no more of the change's operations failed than of the parent's.
+no more of the change's operations failed than of the parent's. It also
+records ``first_wins``, the pairs in which the side that ran first read
+better, and flags the metric ``order_driven`` when that is at least nine in
+ten of the pairs compared: such a metric follows run order, not code.
 Only the standard library is used.
 """
 
@@ -72,14 +75,15 @@ def _value(result: dict | None, metric: str) -> float | None:
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: each metric's per-side statistics and the pairs won.
 
-    ``pairs`` holds one ``{"workload", "seed", "parent", "change"}`` entry
-    per pair, each side the result object ``perfbench/run.py`` printed (or
-    None when the run gave none). ``metrics`` are the ``end_to_end`` entries
-    of ``BENCHMARK.json``. A pair counts toward wins only when both sides
-    ran correctly, and ties count for neither side; but the gain rule
-    divides the wins by every pair run, and never holds when a run of the
-    change was incorrect or the change failed more operations than the
-    parent.
+    ``pairs`` holds one ``{"workload", "seed", "first", "parent", "change"}``
+    entry per pair: ``first`` names the side that ran first, and each side
+    holds the result object ``perfbench/run.py`` printed (or None when the
+    run gave none). ``metrics`` are the ``end_to_end`` entries of
+    ``BENCHMARK.json``. A pair counts toward wins only when both sides ran
+    correctly, and ties count for neither side; but the gain rule divides
+    the wins by every pair run, and never holds when a run of the change
+    was incorrect or the change failed more operations than the parent.
+    ``order_driven`` divides the first side's wins by the pairs compared.
     """
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
@@ -99,20 +103,24 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         entry["metrics"] = {}
         for spec in metrics:
             name, lower_is_better = spec["name"], spec["better"] == "lower"
-            both = [
-                (a, b)
-                for a, b in ((_value(p["parent"], name), _value(p["change"], name)) for p in mine)
-                if a is not None and b is not None
+            both = [  # (parent value, change value, side that ran first)
+                (a, b, p["first"])
+                for p in mine
+                if (a := _value(p["parent"], name)) is not None and (b := _value(p["change"], name)) is not None
             ]
             if not both:
                 continue
             stats: dict = {"unit": spec["unit"], "better": spec["better"], "pairs": len(both)}
-            for side, values in zip(SIDES, zip(*both)):
+            for at, side in enumerate(SIDES):
+                values = [row[at] for row in both]
                 q1, mid, q3 = quartiles(sorted(values))
-                stats[side] = {"median": mid, "q1": q1, "q3": q3, "values": list(values)}
+                stats[side] = {"median": mid, "q1": q1, "q3": q3, "values": values}
             sign = 1 if lower_is_better else -1
-            stats["change_wins"] = sum(sign * (a - b) > 0 for a, b in both)
-            stats["change_losses"] = sum(sign * (a - b) < 0 for a, b in both)
+            winners = ["change" if sign * (a - b) > 0 else "parent" if sign * (a - b) < 0 else None for a, b, _ in both]
+            stats["change_wins"] = winners.count("change")
+            stats["change_losses"] = winners.count("parent")
+            stats["first_wins"] = sum(winner == first for winner, (_, _, first) in zip(winners, both))
+            stats["order_driven"] = stats["first_wins"] >= 0.9 * len(both)
             parent, change = stats["parent"], stats["change"]
             stats["median_change"] = change["median"] / parent["median"] - 1 if parent["median"] else None
             stats["gain_rule_holds"] = (
@@ -191,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
-                pair = {"workload": workload, "seed": args.seed + i}
+                pair = {"workload": workload, "seed": args.seed + i, "first": order[0]}
                 for side in order:
                     pair[side], source = run_side(trees[side], workload, args.seed + i, spec["run_seconds"])
                     sources[side].append(source)
