@@ -320,7 +320,7 @@ def test_live_not_found_is_cached_not_error(tmp_path):
 def test_network_failure_is_transport_error(tmp_path):
     session = StubSession({}, exc=requests.exceptions.ConnectionError("boom"))
     provider = _live(tmp_path, session)
-    with pytest.raises(TransportError):
+    with pytest.raises(TransportError, match=r"^merriam_webster: request for 'nun' failed: boom$"):
         provider.lookup("nun")
     # nothing cached: a later attempt may succeed
     assert not cache_file(tmp_path, "merriam_webster", "nun").exists()
@@ -329,7 +329,7 @@ def test_network_failure_is_transport_error(tmp_path):
 def test_http_error_status_is_transport_error(tmp_path):
     session = StubSession({"nun": _mw_page("x")}, status=503)
     provider = _live(tmp_path, session)
-    with pytest.raises(TransportError):
+    with pytest.raises(TransportError, match=r"^merriam_webster: HTTP 503 for 'nun'$"):
         provider.lookup("nun")
 
 
