@@ -20,9 +20,12 @@ A word not found by a provider is retried once with punctuation and
 whitespace removed (grand-father -> grandfather).
 
 Counting reads at most t tokens of each of a source's first d definitions,
-in one pass. The grid search instead records every seed token once as a
-seed hit (definition, token, pair, gender) and filters the hits per cell,
-so it tokenizes each word's definitions once for all its cells.
+in one loop that builds no token list and strips only the tokens that are
+not alphanumeric; ``tokenize`` is the reference form of that token rule,
+and the tests hold both to an independent oracle. The grid search instead
+records every seed token once as a seed hit (definition, token, pair,
+gender) and filters the hits per cell, so it tokenizes each word's
+definitions once for all its cells.
 """
 
 from __future__ import annotations
@@ -79,17 +82,24 @@ class ClassificationResult(NamedTuple):
     combined: GenderLabel
 
 
+# Neither type checks its fields, so ``_make`` builds what the slower generated
+# ``__new__`` would.
+_new_verdict = ProviderVerdict._make
+_new_result = ClassificationResult._make
+
+
 def tokenize(definition: str, limit: int | None = None) -> list[str]:
     """Lowercase tokens of a definition, in order; only the first ``limit`` (>= 1) if given.
 
     Splits on whitespace and strips leading/trailing punctuation from each
     token; internal punctuation (hyphens, apostrophes) is retained, so
     "father-in-law" stays one token distinct from "father". Empty tokens
-    are dropped and take no position.
+    are dropped and take no position. No strip character is alphanumeric,
+    so an alphanumeric token is taken as it is.
     """
     tokens = []
     for raw in definition.lower().split():
-        token = raw.strip(_STRIP_CHARS)
+        token = raw if raw.isalnum() else raw.strip(_STRIP_CHARS)
         if token:
             tokens.append(token)
             if len(tokens) == limit:
@@ -104,6 +114,8 @@ def suffix_heuristic(word: str) -> GenderLabel | None:
     the -man is part of -woman (checked first) or the word is "human" or a
     -human compound, which are not gendered despite the spelling.
     """
+    if not word.endswith(("man", "girl", "boy")):  # -woman and -human end in -man
+        return None
     if word.endswith(("woman", "girl")):
         return GenderLabel.FEM
     if word.endswith("human"):
@@ -158,30 +170,37 @@ def _not_found(provider_id: str) -> ProviderVerdict:
 
 
 def _verdict(
-    provider_id: str, defs: DefinitionSet | None, d: int, t: int, w: int, index: dict
+    provider_id: str, definitions: Sequence[str], d: int, t: int, w: int, index: dict
 ) -> ProviderVerdict:
     """One source's verdict: seed forms of the first w pairs (``index`` is the lexicon's
-    ``form_index``) among the first t tokens of each of the first d definitions."""
-    if defs is None:
-        return _not_found(provider_id)
-    definitions = defs.definitions[:d]
+    ``form_index``) among the first t tokens of each of the first d definitions.
+
+    Tokens are those of ``tokenize``, found in the same way, without a token list."""
+    definitions = definitions[:d]
     masc = fem = 0
     for definition in definitions:
-        for token in filter(index.__contains__, tokenize(definition, t)):
-            pair, masculine = index[token]
-            if pair < w:
-                if masculine:
+        left = t
+        for raw in definition.lower().split():
+            token = raw if raw.isalnum() else raw.strip(_STRIP_CHARS)
+            if not token:
+                continue
+            hit = index.get(token)
+            if hit is not None and hit[0] < w:
+                if hit[1]:
                     masc += 1
                 else:
                     fem += 1
-    return ProviderVerdict(provider_id, label_from_counts(masc, fem), masc, fem, len(definitions))
+            left -= 1
+            if not left:
+                break
+    return _new_verdict((provider_id, label_from_counts(masc, fem), masc, fem, len(definitions)))
 
 
 def count_gendered(
     defs: DefinitionSet, params: ClassifierParams, lexicon: SeedLexicon
 ) -> tuple[int, int]:
     """(masculine, feminine) token counts over the truncated definition text."""
-    verdict = _verdict(defs.provider_id, defs, *params, lexicon.form_index)
+    verdict = _verdict(defs.provider_id, defs.definitions, *params, lexicon.form_index)
     return verdict.masc_count, verdict.fem_count
 
 
@@ -189,7 +208,10 @@ def classify_with_provider(
     provider: Provider, word: str, params: ClassifierParams, lexicon: SeedLexicon
 ) -> ProviderVerdict:
     """Look up, count, threshold: one dictionary's verdict for one word."""
-    return _verdict(provider.provider_id, provider.lookup(word), *params, lexicon.form_index)
+    defs = provider.lookup(word)
+    if defs is None:
+        return _not_found(provider.provider_id)
+    return _verdict(provider.provider_id, defs.definitions, *params, lexicon.form_index)
 
 
 def combine(labels: Sequence[GenderLabel]) -> GenderLabel:
@@ -202,8 +224,8 @@ def combine(labels: Sequence[GenderLabel]) -> GenderLabel:
     if not labels:
         raise ValueError("combine requires at least one label")
     votes = [label for label in labels if label is not _NOT_FOUND]
-    if not votes:
-        return _NOT_FOUND
+    if len(votes) < 2:  # no vote, or one that is a majority by itself
+        return votes[0] if votes else _NOT_FOUND
     for label in votes:  # a few votes are counted faster than a set is built
         if votes.count(label) * 2 > len(votes):
             return label
@@ -257,15 +279,21 @@ def classify(
     params: ClassifierParams | None = None,
     lexicon: SeedLexicon | None = None,
 ) -> ClassificationResult:
-    """Classify one target word through the full pipeline."""
+    """Classify one target word through the full pipeline.
+
+    A ``w`` past the lexicon's pairs is a ValueError, whatever the route.
+    """
     d, t, w = _DEFAULT_PARAMS if params is None else params
     if lexicon is None:
         lexicon = _DEFAULT_LEXICON
+    lexicon.check_w(w)
     normalized, route, label, found = resolve(word, providers, lexicon)
     if label is not None:
-        return ClassificationResult(word, normalized, route, (), label)
+        return _new_result((word, normalized, route, (), label))
+    index = lexicon.form_index
     verdicts = tuple([
-        _verdict(provider.provider_id, defs, d, t, w, lexicon.form_index)
+        _not_found(provider.provider_id) if defs is None
+        else _verdict(provider.provider_id, defs.definitions, d, t, w, index)
         for provider, defs in zip(providers, found)
     ])
-    return ClassificationResult(word, normalized, route, verdicts, combine([v.label for v in verdicts]))
+    return _new_result((word, normalized, route, verdicts, combine([v.label for v in verdicts])))

@@ -142,9 +142,13 @@ class SeedLexicon(_SeedLexicon):
     def __getnewargs__(self):  # for copy and pickle, which call __new__ with these
         return self[:2]
 
-    def _forms(self, w: int, masculine: bool) -> frozenset[str]:
+    def check_w(self, w: int) -> None:
+        """Raise ValueError unless ``1 <= w <=`` the number of pairs."""
         if not 1 <= w <= len(self.pairs):
             raise ValueError(f"w must be in 1..{len(self.pairs)}, got {w}")
+
+    def _forms(self, w: int, masculine: bool) -> frozenset[str]:
+        self.check_w(w)
         return frozenset(
             form for form, (i, masc) in self.form_index.items() if i < w and masc is masculine
         )

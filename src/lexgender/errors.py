@@ -11,7 +11,8 @@ class LexgenderError(Exception):
 
 
 class TransportError(LexgenderError):
-    """A live dictionary lookup failed (network or page-parse failure).
+    """A live dictionary lookup failed: a session error, an HTTP status other than
+    200 or 404, or an empty page, all raised in ``httpdict.CachedHttpProvider._fetch``.
 
     Deliberately distinct from a word simply being absent from a source:
     mapping transport failures to "not found" would silently bias the

@@ -275,6 +275,7 @@ def grid_search(
         raise ValueError("cannot evaluate against an empty gold list")
     if lexicon is None:
         lexicon = default_lexicon()
+    lexicon.check_w(axes[2][-1])
 
     def vote(outcomes: tuple[tuple[SeedHit, ...] | None, ...], params: ClassifierParams) -> GenderLabel:
         return combine(

@@ -35,8 +35,8 @@ class Provider(Protocol):
         """Definitions for ``word`` in source order, or None if absent.
 
         ``word`` must be non-empty, trimmed, lowercase. Live providers raise
-        TransportError on network or page-parse failure; they never map such
-        failures to None.
+        TransportError on a session error, an HTTP status other than 200 or
+        404, or an empty page; they never map such failures to None.
         """
         ...
 

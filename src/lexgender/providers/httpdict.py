@@ -43,6 +43,7 @@ _MISSING = object()  # read_entry's answer for an absent entry; a file may hold 
 _MAX_NAME = 250  # bytes of an entry name before ".json", within the usual 255-byte file name limit
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
 _READ_SIZE = 1 << 16  # bytes asked of each os.read; nearly every entry fits in one
+_new_definitions = DefinitionSet._make  # no field checks, so it builds what the constructor would
 
 
 def _entry_path(provider_dir: str, word: str) -> str:
@@ -168,7 +169,7 @@ class CachedHttpProvider:
         definitions = entry_definitions(entry, f"corrupt cache entry {path}", word)
         if definitions is None:
             return None
-        return DefinitionSet(word=word, provider_id=self.provider_id, definitions=definitions)
+        return _new_definitions((word, self.provider_id, definitions))
 
     def _fetch(self, word: str) -> dict:
         """The entry for ``word`` from the network; the caller holds ``self._lock``.

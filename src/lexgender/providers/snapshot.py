@@ -25,6 +25,8 @@ from typing import Iterable
 from ..errors import DataFormatError, open_utf8
 from .base import DefinitionSet, Provider, check_word, entry_definitions
 
+_new_definitions = DefinitionSet._make  # no field checks, so it builds what the constructor would
+
 
 class SnapshotProvider:
     """Definition lookups against a frozen snapshot file.
@@ -64,7 +66,7 @@ class SnapshotProvider:
         definitions = self._entries.get(word)
         if definitions is None:
             return None
-        return DefinitionSet(word=word, provider_id=self.provider_id, definitions=definitions)
+        return _new_definitions((word, self.provider_id, definitions))
 
 
 def snapshot_write(provider: Provider, words: Iterable[str], path: str | Path) -> dict:

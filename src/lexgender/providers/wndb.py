@@ -40,6 +40,7 @@ HEAD_MESSAGE = "record head disagrees with its lex_filenum, w_cnt and p_cnt"
 CASE_MESSAGE = "lemma is not lowercase, so no lookup could reach it"
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
+_new_definitions = DefinitionSet._make  # no field checks, so it builds what the constructor would
 
 
 def _parse_data_noun(path: Path) -> tuple[dict[int, int], tuple[str, ...]]:
@@ -186,4 +187,4 @@ class WordNetProvider:
             return None
         glosses = self._glosses
         definitions = (glosses[ref],) if ref >= 0 else tuple(map(glosses.__getitem__, self._senses[~ref]))
-        return DefinitionSet(word, self.provider_id, definitions)
+        return _new_definitions((word, self.provider_id, definitions))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexgender.classifier import (
+    _STRIP_CHARS,
     ROUTE_DICTIONARY,
     ROUTE_SEED,
     ROUTE_SUFFIX,
@@ -20,7 +21,7 @@ from lexgender.classifier import (
     suffix_heuristic,
     tokenize,
 )
-from lexgender.core import ClassifierParams, GenderLabel, default_lexicon
+from lexgender.core import ClassifierParams, GenderLabel, SeedLexicon, SeedPair, default_lexicon
 from lexgender.providers.base import DefinitionSet
 
 LEXICON = default_lexicon()
@@ -76,6 +77,11 @@ def test_tokenize_strips_edge_punctuation_keeps_internal():
         "a", "vehicle", "ship", "aircraft", "etc",
     ]
     assert tokenize("one's father-in-law!") == ["one's", "father-in-law"]
+
+
+def test_no_strip_character_is_alphanumeric():
+    # an alphanumeric token is kept whole unstripped; that is only the same token if this holds
+    assert [ch for ch in _STRIP_CHARS if ch.isalnum()] == []
 
 
 def test_tokenize_lowercases():
@@ -140,6 +146,27 @@ def test_seed_shortcut(word, expected):
 )
 def test_suffix_heuristic(word, expected):
     assert suffix_heuristic(word) == expected
+
+
+def _if_chain_suffix_heuristic(word):
+    # the rule as a plain chain of endings, with no early exit
+    if word.endswith(("woman", "girl")):
+        return FEM
+    if word.endswith("human"):
+        return None
+    if word.endswith(("man", "boy")):
+        return MASC
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", max_size=8),
+    st.sampled_from(("", "man", "woman", "human", "boy", "girl", "mann", "boys", "girls", "an", "wo", "hu")),
+)
+def test_suffix_heuristic_matches_the_if_chain(prefix, ending):
+    word = prefix + ending
+    assert suffix_heuristic(word) is _if_chain_suffix_heuristic(word)
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=12))
@@ -348,6 +375,60 @@ def test_classify_matches_naive_oracle(target, sources, d, t, w):
     assert result.route == ROUTE_DICTIONARY
     assert [tuple(v) for v in result.verdicts] == expected
     assert result.combined is combine([label for _, label, *_ in expected])
+
+
+# A lexicon whose first pair's forms are not alphanumeric, so every one of their
+# tokens takes the stripping branch and must still count.
+STEP_LEXICON = SeedLexicon(
+    (SeedPair(1, "step-mother", "step-father"), SeedPair(2, "woman", "man")),
+    {"step-mother": "step-mothers", "step-father": "step-fathers", "woman": "women", "man": "men"},
+)
+STEP_EDGES = ("", "", "(", ")", "'", '"', "-", "...", ",", "‘", "’", "“", "”", "—", "–", "…")
+step_tokens = st.one_of(
+    st.tuples(
+        st.sampled_from(STEP_EDGES), st.sampled_from(sorted(STEP_LEXICON.form_index)), st.sampled_from(STEP_EDGES)
+    ).map("".join),
+    st.sampled_from(("step", "mother", "father", "stepmother", "step-", "-mother", "step–mother", "of", "the")),
+    st.text(max_size=4),
+)
+step_glosses = st.lists(st.tuples(step_tokens, st.sampled_from(SPACES)), max_size=18).map(
+    lambda parts: "".join(token + space for token, space in parts)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(definitions=st.lists(step_glosses, max_size=5), d=st.integers(1, 6), t=st.integers(1, 14), w=st.integers(1, 2))
+def test_hyphenated_seed_forms_match_naive_oracle(definitions, d, t, w):
+    params = ClassifierParams(d, t, w)
+    masc, fem = _oracle_count(definitions, d, t, w, STEP_LEXICON)
+    assert count_gendered(defs(*definitions), params, STEP_LEXICON) == (masc, fem)
+    assert count_hits(seed_hits(definitions, STEP_LEXICON), params) == (masc, fem)
+    result = classify("nun", [DictProvider({"nun": definitions})], params, STEP_LEXICON)
+    assert result.route == ROUTE_DICTIONARY
+    assert [tuple(v) for v in result.verdicts] == [
+        ("stub", label_from_counts(masc, fem), masc, fem, min(d, len(definitions)))
+    ]
+
+
+def test_hyphenated_seed_forms_count_with_curly_and_ascii_edges():
+    gloss = "“step-mother” (step-fathers), step-mothers’ -step-father- step–mother stepmother"
+    assert _oracle_count([gloss], 1, 20, 1, STEP_LEXICON) == (2, 2)
+    assert count_gendered(defs(gloss), ClassifierParams(1, 20, 1), STEP_LEXICON) == (2, 2)
+    assert count_gendered(defs(gloss), ClassifierParams(1, 3, 1), STEP_LEXICON) == (1, 2)
+
+
+# --- w against the lexicon --------------------------------------------------
+
+TWO_PAIRS = default_lexicon()._replace(pairs=default_lexicon().pairs[:2])
+
+
+@pytest.mark.parametrize("word", ["nun", "policewoman", "woman"], ids=["dictionary", "suffix", "seed"])
+def test_classify_rejects_w_past_the_lexicon_before_any_lookup(word):
+    provider = DictProvider({"nun": ["a woman belonging to a religious order"]})
+    with pytest.raises(ValueError, match=r"^w must be in 1\.\.2, got 5$"):
+        classify(word, [provider], ClassifierParams(w=5), TWO_PAIRS)
+    assert provider.lookups == []
+    assert classify(word, [provider], ClassifierParams(w=2), TWO_PAIRS).combined is FEM
 
 
 # --- per-provider verdicts --------------------------------------------------

@@ -347,6 +347,18 @@ def test_grid_search_bad_range_rejected_before_lookup(ranges, message):
     assert provider.lookups == []
 
 
+def test_grid_search_rejects_w_past_the_lexicon_before_lookup():
+    provider = Recording()
+    two_pairs = default_lexicon()._replace(pairs=default_lexicon().pairs[:2])
+    gold = [GoldEntry("nun", FEM, "religion")]
+    with pytest.raises(ValueError, match=r"^w must be in 1\.\.2, got 5$"):
+        grid_search(gold, [provider], two_pairs, w_range=(5,))
+    with pytest.raises(ValueError, match=r"^w must be in 1\.\.2, got 3$"):
+        grid_search(gold, [provider], two_pairs, w_range=range(1, 4))
+    assert provider.lookups == []
+    assert grid_search(gold, [provider], two_pairs, w_range=(1, 2)).best.w == 1
+
+
 class TableProvider:
     """Snapshot-like in-memory source: word -> list of definitions."""
 

@@ -5,11 +5,13 @@ import pickle
 
 import pytest
 
-from lexgender.classifier import ClassificationResult, ProviderVerdict, SeedHit
+from lexgender.classifier import ClassificationResult, ProviderVerdict, SeedHit, classify
 from lexgender.core import ClassifierParams, GenderLabel, SeedLexicon, SeedPair, default_lexicon
 from lexgender.corpus import CompositionReport, NounRecord
 from lexgender.evaluation import GoldEntry, GridSearchResult, Metrics
-from lexgender.providers import DIALECTS, SITES, DefinitionSet
+from lexgender.data import BUNDLED_SNAPSHOT_IDS, snapshot_path, wndb_dir
+from lexgender.providers import DIALECTS, SITES, CachedHttpProvider, DefinitionSet, SnapshotProvider, WordNetProvider
+from lexgender.providers.httpdict import cache_file, write_entry_atomic
 
 _METRICS = Metrics(1, 1.0, 1.0, 1.0, 1.0, ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
 _VERDICT = ProviderVerdict("wordnet", GenderLabel.FEM, 0, 1, 1)
@@ -83,3 +85,83 @@ def test_lexicon_equality_copy_and_pickle():
     assert copy.deepcopy(lexicon) == lexicon
     restored = pickle.loads(pickle.dumps(lexicon))
     assert restored == lexicon and restored.form_index == lexicon.form_index
+
+
+# --- values the hot paths build with _make ------------------------------------
+
+NUN = "a woman belonging to a religious order"
+
+
+def _verdict(provider_id, label, masc, fem, used):
+    return ProviderVerdict(provider_id=provider_id, label=label, masc_count=masc, fem_count=fem, definitions_used=used)
+
+
+@pytest.mark.parametrize(
+    "word, expected",
+    [
+        (
+            "nun",
+            ClassificationResult(
+                word="nun",
+                normalized="nun",
+                route="dictionary",
+                verdicts=(
+                    _verdict("wordnet", GenderLabel.FEM, 0, 1, 1),
+                    _verdict("merriam_webster", GenderLabel.FEM, 0, 1, 2),
+                    _verdict("dictionary_com", GenderLabel.FEM, 0, 1, 1),
+                ),
+                combined=GenderLabel.FEM,
+            ),
+        ),
+        (
+            "sculptor",
+            ClassificationResult(
+                word="sculptor",
+                normalized="sculptor",
+                route="dictionary",
+                verdicts=tuple(
+                    ProviderVerdict(provider_id, GenderLabel.NOT_FOUND)
+                    for provider_id in ("wordnet", "merriam_webster", "dictionary_com")
+                ),
+                combined=GenderLabel.NOT_FOUND,
+            ),
+        ),
+        (
+            " Policewoman",
+            ClassificationResult(" Policewoman", "policewoman", "suffix_heuristic", (), GenderLabel.FEM),
+        ),
+        ("mother", ClassificationResult("mother", "mother", "seed_shortcut", (), GenderLabel.FEM)),
+    ],
+    ids=["dictionary", "not-found", "suffix", "seed"],
+)
+def test_classify_builds_its_declared_types(word, expected):
+    result = classify(word, [SnapshotProvider(snapshot_path(pid)) for pid in BUNDLED_SNAPSHOT_IDS])
+    assert type(result) is ClassificationResult
+    assert [type(verdict) for verdict in result.verdicts] == [ProviderVerdict] * len(expected.verdicts)
+    assert result == expected
+
+
+class _NoNetwork:
+    def get(self, *args, **kwargs):
+        raise AssertionError("a cached lookup sent a request")
+
+
+def _cached_live(tmp_path):
+    (tmp_path / "merriam_webster").mkdir()
+    write_entry_atomic(str(cache_file(tmp_path, "merriam_webster", "nun")), {"found": True, "definitions": [NUN]})
+    return CachedHttpProvider("merriam_webster", tmp_path, session=_NoNetwork())
+
+
+@pytest.mark.parametrize(
+    "build, provider_id",
+    [
+        (lambda tmp_path: SnapshotProvider(snapshot_path("wordnet")), "wordnet"),
+        (lambda tmp_path: WordNetProvider(wndb_dir(), provider_id="wn"), "wn"),
+        (_cached_live, "merriam_webster"),
+    ],
+    ids=["snapshot", "wndb", "http"],
+)
+def test_lookups_build_their_declared_type(tmp_path, build, provider_id):
+    found = build(tmp_path).lookup("nun")
+    assert type(found) is DefinitionSet
+    assert found == DefinitionSet(word="nun", provider_id=provider_id, definitions=(NUN,))
