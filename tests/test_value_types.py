@@ -9,7 +9,7 @@ from lexgender.classifier import ClassificationResult, ProviderVerdict, SeedHit,
 from lexgender.core import ClassifierParams, GenderLabel, SeedLexicon, SeedPair, default_lexicon
 from lexgender.corpus import CompositionReport, NounRecord
 from lexgender.evaluation import GoldEntry, GridSearchResult, Metrics
-from lexgender.data import BUNDLED_SNAPSHOT_IDS, snapshot_path, wndb_dir
+from lexgender.data import snapshot_path, wndb_dir
 from lexgender.providers import DIALECTS, SITES, CachedHttpProvider, DefinitionSet, SnapshotProvider, WordNetProvider
 from lexgender.providers.httpdict import cache_file, write_entry_atomic
 
@@ -92,7 +92,7 @@ def test_lexicon_equality_copy_and_pickle():
 NUN = "a woman belonging to a religious order"
 
 
-def _verdict(provider_id, label, masc, fem, used):
+def _keyword_verdict(provider_id, label, masc, fem, used):
     return ProviderVerdict(provider_id=provider_id, label=label, masc_count=masc, fem_count=fem, definitions_used=used)
 
 
@@ -106,9 +106,9 @@ def _verdict(provider_id, label, masc, fem, used):
                 normalized="nun",
                 route="dictionary",
                 verdicts=(
-                    _verdict("wordnet", GenderLabel.FEM, 0, 1, 1),
-                    _verdict("merriam_webster", GenderLabel.FEM, 0, 1, 2),
-                    _verdict("dictionary_com", GenderLabel.FEM, 0, 1, 1),
+                    _keyword_verdict("wordnet", GenderLabel.FEM, 0, 1, 1),
+                    _keyword_verdict("merriam_webster", GenderLabel.FEM, 0, 1, 2),
+                    _keyword_verdict("dictionary_com", GenderLabel.FEM, 0, 1, 1),
                 ),
                 combined=GenderLabel.FEM,
             ),
@@ -134,8 +134,8 @@ def _verdict(provider_id, label, masc, fem, used):
     ],
     ids=["dictionary", "not-found", "suffix", "seed"],
 )
-def test_classify_builds_its_declared_types(word, expected):
-    result = classify(word, [SnapshotProvider(snapshot_path(pid)) for pid in BUNDLED_SNAPSHOT_IDS])
+def test_classify_builds_its_declared_types(bundled_providers, word, expected):
+    result = classify(word, bundled_providers)
     assert type(result) is ClassificationResult
     assert [type(verdict) for verdict in result.verdicts] == [ProviderVerdict] * len(expected.verdicts)
     assert result == expected
