@@ -24,8 +24,9 @@ in one loop that builds no token list and strips only the tokens that are
 not alphanumeric; ``tokenize`` is the reference form of that token rule,
 and the tests hold both to an independent oracle. The grid search instead
 records every seed token once as a seed hit (definition, token, pair,
-gender) and filters the hits per cell, so it tokenizes each word's
-definitions once for all its cells.
+gender), so it tokenizes each word's definitions once for all its cells,
+and counts the hits once per distinct set of them that its cells admit,
+not once per cell.
 """
 
 from __future__ import annotations
@@ -199,7 +200,10 @@ def _verdict(
 def count_gendered(
     defs: DefinitionSet, params: ClassifierParams, lexicon: SeedLexicon
 ) -> tuple[int, int]:
-    """(masculine, feminine) token counts over the truncated definition text."""
+    """(masculine, feminine) token counts over the truncated definition text.
+
+    A ``w`` past the lexicon's pairs is a ValueError."""
+    lexicon.check_w(params.w)
     verdict = _verdict(defs.provider_id, defs.definitions, *params, lexicon.form_index)
     return verdict.masc_count, verdict.fem_count
 
@@ -207,7 +211,10 @@ def count_gendered(
 def classify_with_provider(
     provider: Provider, word: str, params: ClassifierParams, lexicon: SeedLexicon
 ) -> ProviderVerdict:
-    """Look up, count, threshold: one dictionary's verdict for one word."""
+    """Look up, count, threshold: one dictionary's verdict for one word.
+
+    A ``w`` past the lexicon's pairs is a ValueError, raised before the lookup."""
+    lexicon.check_w(params.w)
     defs = provider.lookup(word)
     if defs is None:
         return _not_found(provider.provider_id)

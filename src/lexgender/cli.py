@@ -147,7 +147,9 @@ def _build_providers(args, parser: _Parser) -> list[Provider]:
 
 
 def _params(args) -> ClassifierParams:
-    return ClassifierParams(d=args.d, t=args.t, w=args.w)
+    params = ClassifierParams(d=args.d, t=args.t, w=args.w)
+    default_lexicon().check_w(params.w)  # the CLI counts with the default lexicon
+    return params
 
 
 def _result_row(result: ClassificationResult) -> dict:

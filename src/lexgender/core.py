@@ -186,7 +186,8 @@ class ClassifierParams(_ClassifierParams):
     d: number of definitions considered per dictionary (earlier senses are
        more general, so only the first d are used)
     t: number of tokens considered per definition
-    w: number of seed pairs used for counting (rank order truncation)
+    w: number of seed pairs used for counting (rank order truncation), at
+       most the lexicon's pairs (``SeedLexicon.check_w``)
     """
 
     __slots__ = ()
@@ -196,8 +197,8 @@ class ClassifierParams(_ClassifierParams):
             raise ValueError(f"d must be >= 1, got {d}")
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        if not 1 <= w <= 8:
-            raise ValueError(f"w must be in 1..8, got {w}")
+        if w < 1:
+            raise ValueError(f"w must be >= 1, got {w}")
         return super().__new__(cls, d, t, w)
 
     _make = classmethod(_checked_make)

@@ -247,13 +247,15 @@ def grid_search(
     toward the lexicographically smallest (d, t, w). A grid of more than
     ``MAX_GRID_CELLS`` cells is rejected.
 
-    Every distinct gold word is routed, looked up and tokenized once, before
-    the cells, and votes once per distinct set of its seed hits that cells
-    admit; a cell counts the gold rows its votes get right. Its accuracy equals
+    Every distinct gold word is routed, looked up and tokenized once, and votes
+    once per distinct set of its seed hits that cells admit; its score in a cell
+    is the gold rows its vote there gets right. A word that scores alike in
+    every cell adds to a fixed total once; any other gives a column of its
+    scores in cell order, and a cell sums the columns. Its accuracy equals
     ``evaluate_results(classify_gold(gold, providers, cell), gold).accuracy``.
     """
     from bisect import bisect_left
-    from itertools import product
+    from itertools import product, repeat
 
     for provider in providers:
         if not provider.deterministic:
@@ -270,7 +272,7 @@ def grid_search(
         raise ValueError("empty grid: d, t and w ranges each need at least one value")
     if n_cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {n_cells} cells exceeds the limit of {MAX_GRID_CELLS}")
-    cells = [ClassifierParams(*cell) for cell in product(*axes)]
+    first = ClassifierParams(*[axis[0] for axis in axes])  # no cell is below it on any axis
     if not gold:
         raise ValueError("cannot evaluate against an empty gold list")
     if lexicon is None:
@@ -285,44 +287,38 @@ def grid_search(
             ]
         )
 
-    fixed: dict[str, GenderLabel] = {}
-    counted: dict[str, tuple[tuple[SeedHit, ...] | None, ...]] = {}
     tally: dict[str, dict[GenderLabel, int]] = {}  # gold may list a word more than once
     for entry in gold:
         labels = tally.setdefault(entry.word, {})
         labels[entry.label] = labels.get(entry.label, 0) + 1
-        if entry.word in fixed or entry.word in counted:
-            continue
-        _, _, label, found = resolve(entry.word, providers, lexicon)
+    fixed = 0
+    columns = []
+    for word, labels in tally.items():
+        _, _, label, found = resolve(word, providers, lexicon)
         outcomes = tuple([None if defs is None else seed_hits(defs.definitions, lexicon) for defs in found])
         if label is None and not any(outcomes):
-            label = vote(outcomes, cells[0])  # no seed token in any source: alike in every cell
-        if label is None:
-            counted[entry.word] = outcomes
-        else:
-            fixed[entry.word] = label
-
-    # a cell admits the hits whose definition, token and pair indexes are among the
-    # first i, j and k distinct ones of the word: (i, j, k), yielded in cell order, keys its vote
-    words = []
-    for word, outcomes in counted.items():
+            label = vote(outcomes, first)  # no seed token in any source: alike in every cell
+        if label is not None:
+            fixed += labels.get(label, 0)
+            continue
+        # a cell admits the hits whose definition, token and pair indexes are among
+        # the first i, j and k distinct ones of the word: (i, j, k) keys its vote,
+        # cast at the smallest axis values that give each of i, j and k
         definitions, tokens, pairs, _ = zip(*[hit for hits in outcomes if hits for hit in hits])
         seen = [sorted(set(indexes)) for indexes in (definitions, tokens, pairs)]
-        keys = product(*[[bisect_left(s, value) for value in axis] for s, axis in zip(seen, axes)])
-        words.append((keys, {}, outcomes, tally[word]))
+        cuts = [[bisect_left(s, value) for value in axis] for s, axis in zip(seen, axes)]
+        smallest = [dict(zip(reversed(cut), reversed(axis))) for cut, axis in zip(cuts, axes)]
+        scores = {
+            key: labels.get(vote(outcomes, ClassifierParams(*map(dict.__getitem__, smallest, key))), 0)
+            for key in product(*smallest)
+        }
+        distinct = set(scores.values())
+        if len(distinct) == 1:  # e.g. wrong in every cell, whatever its label
+            fixed += distinct.pop()
+        else:
+            columns.append(map(scores.__getitem__, product(*cuts)))  # its score in each cell
 
-    table: dict[tuple[int, int, int], float] = {}
-    best, best_correct = cells[0], -1
-    correct_fixed = sum(tally[word].get(label, 0) for word, label in fixed.items())
-    for params in cells:
-        correct = correct_fixed
-        for keys, memo, outcomes, labels in words:
-            key = next(keys)
-            label = memo.get(key)
-            if label is None:
-                label = memo[key] = vote(outcomes, params)
-            correct += labels.get(label, 0)
-        table[(params.d, params.t, params.w)] = correct / len(gold)
-        if correct > best_correct:
-            best, best_correct = params, correct
-    return GridSearchResult(best=best, best_accuracy=best_correct / len(gold), table=table)
+    totals = list(map(sum, zip(repeat(fixed, n_cells), *columns)))
+    table = dict(zip(product(*axes), [correct / len(gold) for correct in totals]))
+    best = totals.index(max(totals))  # the first maximum: cells are in ascending (d, t, w) order
+    return GridSearchResult(ClassifierParams(*list(table)[best]), totals[best] / len(gold), table)

@@ -431,6 +431,17 @@ def test_classify_rejects_w_past_the_lexicon_before_any_lookup(word):
     assert classify(word, [provider], ClassifierParams(w=2), TWO_PAIRS).combined is FEM
 
 
+def test_count_gendered_and_classify_with_provider_reject_w_past_the_lexicon():
+    provider = DictProvider({"woman": ["a woman"]})
+    with pytest.raises(ValueError, match=r"^w must be in 1\.\.2, got 5$"):
+        count_gendered(defs("the wife of a baron"), ClassifierParams(w=5), TWO_PAIRS)
+    with pytest.raises(ValueError, match=r"^w must be in 1\.\.2, got 5$"):
+        classify_with_provider(provider, "woman", ClassifierParams(w=5), TWO_PAIRS)
+    assert provider.lookups == []
+    assert count_gendered(defs("the wife of a baron"), ClassifierParams(w=2), TWO_PAIRS) == (0, 0)
+    assert classify_with_provider(provider, "woman", ClassifierParams(w=2), TWO_PAIRS).label is FEM
+
+
 # --- per-provider verdicts --------------------------------------------------
 
 

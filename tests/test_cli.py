@@ -622,6 +622,24 @@ def test_usage_error_in_a_subcommand_prints_its_usage(capsys, tmp_path, monkeypa
     assert f"lexgender {argv[0]}: error: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "nun", "-w", "9"], "w must be in 1..8, got 9"),
+        (["evaluate", "-w", "9"], "w must be in 1..8, got 9"),
+        (["grid-search", "--w-range", "2..9"], "w must be in 1..8, got 9"),
+        (["corpus-report", "empty.tsv", "-w", "9"], "w must be in 1..8, got 9"),  # nothing to classify
+        (["classify", "nun", "-w", "0"], "w must be >= 1, got 0"),
+    ],
+    ids=["classify-9", "evaluate-9", "grid-search-9", "corpus-report-9", "classify-0"],
+)
+def test_w_outside_the_default_lexicon_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"lexgender: {message}\n")
+
+
 def test_usage_error_before_a_subcommand_prints_the_top_usage(capsys):
     code, out, err = run(capsys, "frobnicate", "nun")
     assert code == 1 and not out

@@ -83,10 +83,19 @@ def test_params_defaults():
     assert (params.d, params.t, params.w) == (4, 20, 5)
 
 
-@pytest.mark.parametrize("kwargs", [{"d": 0}, {"t": 0}, {"w": 0}, {"w": 9}, {"d": -3}])
+@pytest.mark.parametrize("kwargs", [{"d": 0}, {"t": 0}, {"w": 0}, {"w": -1}, {"d": -3}])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ClassifierParams(**kwargs)
+
+
+def test_the_lexicon_alone_bounds_w_from_above():
+    # ClassifierParams knows no lexicon; a ten-pair lexicon accepts w=10
+    assert ClassifierParams(w=10).w == 10
+    with pytest.raises(ValueError, match=r"^w must be in 1\.\.8, got 10$"):
+        default_lexicon().check_w(10)
+    with pytest.raises(ValueError, match=r"^w must be >= 1, got 0$"):
+        ClassifierParams(w=0)
 
 
 def test_seed_pair_validation():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexgender.classifier import classify
-from lexgender.core import ClassifierParams, GenderLabel, default_lexicon
+from lexgender.core import ClassifierParams, GenderLabel, SeedLexicon, SeedPair, default_lexicon
 from lexgender.errors import DataFormatError
 from lexgender.evaluation import (
     GoldEntry,
@@ -374,6 +374,12 @@ class TableProvider:
         return DefinitionSet(word, self.provider_id, tuple(self.table[word]))
 
 
+# The eight default pairs plus queen/king and niece/nephew: w may reach 10.
+TEN_PAIRS = SeedLexicon(
+    default_lexicon().pairs + (SeedPair(9, "queen", "king"), SeedPair(10, "niece", "nephew")),
+    {**default_lexicon().plurals, "queen": "queens", "king": "kings", "niece": "nieces", "nephew": "nephews"},
+)
+
 # Gold words by the route they take; each drawn gold list has one of each.
 ROUTE_WORDS = (
     ("woman", "men", "wives", "uncle", "girls"),  # seed forms and plurals
@@ -381,16 +387,18 @@ ROUTE_WORDS = (
     ("human", "superhuman"),  # the -human exception: dictionary route
     ("grand-father", "step-mother", "half sister"),  # found after the strip
     ("nurse", "monk", "crew", "widow"),  # plain dictionary words
+    ("queen", "nephews"),  # seed forms of TEN_PAIRS only, else dictionary words
     ("onlyalpha",),  # missing from one source
     ("qzxv",),  # missing from every source
 )
 TABLE_KEYS = (
     "woman", "chairman", "human", "superhuman", "grandfather", "stepmother",
-    "halfsister", "grand-father", "nurse", "monk", "crew", "widow",
+    "halfsister", "grand-father", "nurse", "monk", "crew", "widow", "queen", "nephews",
 )
 GRID_VOCAB = (
     "a the of person who man woman men women male female wife husbands son "
-    "mother fathers girl boy sister brothers aunt uncles (man) “women” royal"
+    "mother fathers girl boy sister brothers aunt uncles (man) “women” royal "
+    "queen kings niece nephews"
 ).split()
 
 definitions_st = st.lists(
@@ -399,20 +407,41 @@ definitions_st = st.lists(
 table_st = st.dictionaries(st.sampled_from(TABLE_KEYS), definitions_st)
 
 
-@settings(max_examples=60, deadline=None)
+def assert_grid_matches_evaluate(gold, providers, lexicon=None, **ranges):
+    """Every cell of ``grid_search`` against ``evaluate_results`` over ``classify_gold``."""
+    result = grid_search(gold, providers, lexicon, **ranges)
+    d_range, t_range, w_range = (ranges[axis] for axis in ("d_range", "t_range", "w_range"))
+    cells = sorted(result.table)
+    assert cells == sorted(
+        {(d, t, w) for d in d_range for t in t_range for w in w_range}
+    )
+    for cell in cells:
+        params = ClassifierParams(*cell)
+        expected = evaluate_results(classify_gold(gold, providers, params, lexicon), gold).accuracy
+        assert result.table[cell] == expected, cell
+    best = max(cells, key=lambda cell: (result.table[cell], [-v for v in cell]))
+    assert (result.best.d, result.best.t, result.best.w) == best
+    assert type(result.best) is ClassifierParams
+    assert result.best_accuracy == result.table[best]
+    return result
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     must=st.tuples(*(st.sampled_from(words) for words in ROUTE_WORDS)),
     extra=st.lists(st.sampled_from([w for words in ROUTE_WORDS for w in words]), max_size=6),
     labels=st.lists(st.sampled_from([MASC, FEM, NEUT]), min_size=24, max_size=24),
     alpha=table_st,
     beta=table_st,
+    gamma=table_st,
     only_alpha=definitions_st,
+    lexicon=st.sampled_from([default_lexicon(), TEN_PAIRS]),
     d_range=st.lists(st.integers(1, 6), min_size=1, max_size=3),
     t_range=st.lists(st.integers(1, 12), min_size=1, max_size=3),
-    w_range=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    w_range=st.lists(st.integers(1, 10), min_size=1, max_size=3),
 )
 def test_grid_cells_match_classify_and_evaluate(
-    must, extra, labels, alpha, beta, only_alpha, d_range, t_range, w_range
+    must, extra, labels, alpha, beta, gamma, only_alpha, lexicon, d_range, t_range, w_range
 ):
     # every route word listed at least twice, each gold row with its own label
     words = list(must) + extra + list(must)
@@ -420,16 +449,56 @@ def test_grid_cells_match_classify_and_evaluate(
     providers = [
         TableProvider("alpha", {**alpha, "onlyalpha": only_alpha}),
         TableProvider("beta", beta),
+        TableProvider("gamma", gamma),
     ]
-    result = grid_search(gold, providers, d_range=d_range, t_range=t_range, w_range=w_range)
-    cells = sorted(result.table)
-    assert cells == sorted(
-        {(d, t, w) for d in d_range for t in t_range for w in w_range}
+    w_range = [min(w, len(lexicon.pairs)) for w in w_range]
+    assert_grid_matches_evaluate(
+        gold, providers, lexicon, d_range=d_range, t_range=t_range, w_range=w_range
     )
-    for cell in cells:
-        params = ClassifierParams(*cell)
-        expected = evaluate_results(classify_gold(gold, providers, params), gold).accuracy
-        assert result.table[cell] == expected, cell
-    best = max(cells, key=lambda cell: (result.table[cell], [-v for v in cell]))
-    assert (result.best.d, result.best.t, result.best.w) == best
-    assert result.best_accuracy == result.table[best]
+
+
+def test_grid_search_counts_past_eight_pairs_with_a_ten_pair_lexicon():
+    providers = [TableProvider("alpha", {"heir": ["the nephew of a king"]})]
+    gold = [GoldEntry("heir", MASC, "title")]
+    result = assert_grid_matches_evaluate(
+        gold, providers, TEN_PAIRS, d_range=(1,), t_range=(10,), w_range=(8, 9, 10)
+    )
+    assert result.table == {(1, 10, 8): 0.0, (1, 10, 9): 1.0, (1, 10, 10): 1.0}
+    assert result.best == ClassifierParams(1, 10, 9)
+
+
+def test_grid_word_whose_label_changes_but_not_its_score():
+    # "crew" is masc at t=2 and fem at t=5 and 6, and neut gold: wrong in every
+    # cell; "nurse" is fem, neut, then masc, and fem gold: right at t=2 only
+    table = {"crew": ["a man woman woman"], "nurse": ["a woman or a man man"]}
+    providers = [TableProvider("alpha", table)]
+    for word, labels in (("crew", (MASC, FEM, FEM)), ("nurse", (FEM, NEUT, MASC))):
+        assert tuple(classify(word, providers, ClassifierParams(1, t, 2)).combined for t in (2, 5, 6)) == labels
+    gold = [GoldEntry("crew", NEUT, "misc"), GoldEntry("nurse", FEM, "occupation")]
+    result = assert_grid_matches_evaluate(
+        gold, providers, d_range=(1, 2), t_range=(2, 5, 6), w_range=(1, 2)
+    )
+    assert {cell[1]: accuracy for cell, accuracy in result.table.items()} == {2: 0.5, 5: 0.0, 6: 0.0}
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        {"d_range": (1, 3), "t_range": (2, 9), "w_range": (1, 2, 8)},
+        {"d_range": (4,), "t_range": (20,), "w_range": (5,)},
+    ],
+    ids=["heuristic-and-constant-words", "one-cell"],
+)
+def test_grid_in_which_every_word_folds(ranges):
+    providers = [TableProvider("alpha", {"crew": ["a man and a woman woman"], "monk": ["a man"]})]
+    gold = [
+        GoldEntry("woman", FEM, "family"),  # seed route
+        GoldEntry("chairman", FEM, "title"),  # suffix route, wrong
+        GoldEntry("crew", NEUT, "misc"),  # counted, wrong in every cell
+        GoldEntry("qzxv", NEUT, "misc"),  # in no source
+    ]
+    if len(ranges["d_range"]) == 1:
+        gold.append(GoldEntry("monk", MASC, "religion"))  # one cell: one vote
+    result = assert_grid_matches_evaluate(gold, providers, **ranges)
+    assert set(result.table.values()) == {1 / 4 if len(gold) == 4 else 2 / 5}
+    assert result.best == ClassifierParams(*min(result.table))

@@ -47,7 +47,7 @@ def test_value_types_reject_attribute_assignment(value):
     "build",
     [
         lambda: ClassifierParams()._replace(d=0),
-        lambda: ClassifierParams()._replace(w=9),
+        lambda: ClassifierParams()._replace(w=0),
         lambda: ClassifierParams._make((4, 20, 0)),
         lambda: SeedPair(1, "woman", "man")._replace(masculine="woman"),
         lambda: SeedPair._make((1, "Woman", "man")),
