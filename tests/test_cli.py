@@ -322,6 +322,93 @@ def test_golden_json_on_bundled_data(capsys, argv, sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
+def _format_choices(parser: argparse.ArgumentParser) -> tuple[str, ...]:
+    return next((action.choices for action in parser._actions if action.dest == "format"), ())
+
+
+#: The arguments each subcommand's battery cases start from, on bundled data only.
+BATTERY_ARGV = {
+    "classify": ["classify", "nun", "businessman", "crew", "qzxv", "step-mother"],
+    "evaluate": ["evaluate"],
+    "grid-search": ["grid-search"],
+    "corpus-report": ["corpus-report", str(toy_corpus_path())],
+    "snapshot": ["snapshot", "nun", "monk", "qzxv", "--out", "snap.json"],
+}
+
+
+def _battery() -> dict[str, tuple[list[str], tuple[str, ...]]]:
+    """Case id -> (argv, files the case writes whose text is pinned too)."""
+    cases = {"help": (["--help"], ())}
+    for name, parser in _subcommands().items():
+        for fmt in _format_choices(parser):
+            cases[f"{name}-{fmt}"] = ([*BATTERY_ARGV[name], "--format", fmt], ())
+        cases[f"{name}-help"] = ([name, "--help"], ())
+    for fmt in _format_choices(_subcommands()["evaluate"]):
+        cases[f"evaluate-{fmt}-out"] = (["evaluate", "--format", fmt, "--out", "report.txt"], ("report.txt",))
+    cases["corpus-report-sample-out"] = (
+        [*BATTERY_ARGV["corpus-report"], "--sample-out", "sample.txt"], ("sample.txt",)
+    )
+    cases["snapshot"] = (BATTERY_ARGV["snapshot"], ())  # the file holds its capture time
+    cases.update({
+        "classify-usage": (["classify", "--format", "tsv"], ()),
+        "evaluate-usage": (["evaluate", "nun"], ()),
+        "grid-search-usage": (["grid-search", "-d", "3"], ()),
+        "corpus-report-usage": ([*BATTERY_ARGV["corpus-report"], "--format", "tsv"], ()),
+        "snapshot-usage": (["snapshot", "nun"], ()),
+    })
+    return cases
+
+
+#: sha256 of each battery case's exit code, stdout, stderr and pinned files.
+GOLDEN_BATTERY_SHA256 = {
+    "help": "d0cf649fa4126b44bdcc6981f7f8cb2bedbffa447f7600794a98690108203643",
+    "classify-table": "ce4c60e071d39cbbb714db7de291b83b52083a8538c0305c2d15bbb91b36f18e",
+    "classify-json": "6097f791093761c171c84b1ff387e9dbee7f59e1e766455aa9c0ea276f2f4674",
+    "classify-tsv": "de9fd19bcad00971f121d9a21f3324b7ff7a3543704158cfb400a07b8e44f29d",
+    "classify-help": "aa19f11f59b23f22ae6bfd5a6014e08b0791f6e06ee45f9ba87df6dec312bda8",
+    "evaluate-table": "d92bf0593cc07d665d014234209db41503c0c924a9dd398485f5d01b06f52bf3",
+    "evaluate-json": "0639601d60d0b7ce046f2c9ec50d2a3bc6a137c66eba3dc6416bf8cb9d6b6fae",
+    "evaluate-tsv": "237fabccfd967253724a53a9b82f463a3b3ad710973a1d70e40660495ba9556f",
+    "evaluate-help": "b2335e7fba85a99fcfa89907464f35e7ba33a73e5a5bc893ff2a6612cdd4fd66",
+    "grid-search-table": "55ffd8e551a34878563d298e6c589ba71c9de52f72c85cd5eb3b595230d5a02b",
+    "grid-search-json": "571bf34dcb55c619c4aa2482f448f75ee8f3d9a248fbcfcabeffe749a6d560c3",
+    "grid-search-help": "d46cb17b31be2232919d5975b27649f62d0f864e0e03c9e7f3d06a036374911e",
+    "corpus-report-table": "63921e954c6bdc5516f618f7e53a6fa9b6106b3aa6a821c1f11a0dbddc7f3d2d",
+    "corpus-report-json": "dba07b23808722358bc05f5b118ae0b69e2503fc3d68e9fa12d452171279dbef",
+    "corpus-report-help": "ec5e861f5b0b8a9516409ac1aec638979832348d99738357fda63d45367bb775",
+    "snapshot-help": "588fd89d08fb2e4ab1a8f4b31612c375e3fa3ad95c17dd51b90fe614c47ca995",
+    "evaluate-table-out": "a6710f09f456e7ebfa20c08dea672ddc744140ba7f33d39b72c8ce7eadfa6f2f",
+    "evaluate-json-out": "9ee2091bb1026bfdfcd34d4f1dc9c883e7851215ade86ebc920149099eefc9a1",
+    "evaluate-tsv-out": "c8f53e2c0707d924832bdd45b2221acbbf02532071b0dac77fa88aa1d0a2d446",
+    "corpus-report-sample-out": "4df433a02da255a02386cdc3d45002d944e2bd34295a7aaa9c4c145faeaba954",
+    "snapshot": "3b45a46837449973de050d29c417bdb43e37b418a2922c066214f6a4a385a5ea",
+    "classify-usage": "a4d9b041e501a3e5b63dcae87314b191b2f999e44b13e7a43480542fbfd77b70",
+    "evaluate-usage": "2338f2211a8182612263d9de4e4586ab3b34660a18d62425554f4bdc1820f4ea",
+    "grid-search-usage": "0ccec5cc2c3f84068b2c29c72e2b4797008d36f8de491266c0ff7741bde8d7bc",
+    "corpus-report-usage": "d3b177cd514be70a2191a884269c32bd4ceb0d53a9f669c45a5c65baa0a69e51",
+    "snapshot-usage": "f685f92fe26b67742e3d7d65f222385bf2b17ed27ef2999c3d518962cbaf13da",
+}
+
+
+@pytest.mark.parametrize("case", list(_battery()))
+def test_golden_cli_battery(capsys, tmp_path, monkeypatch, case):
+    # refactor gate: every command x format, its files, help and usage text, byte for byte
+    argv, files = _battery()[case]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run(capsys, *argv)
+    written = {name: (tmp_path / name).read_text(encoding="utf-8") for name in files}
+    blob = json.dumps([code, out, err, written], sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_BATTERY_SHA256.get(case), (code, err)
+
+
 def test_corpus_report_cli(capsys, tmp_path):
     tagged = tmp_path / "toy.tsv"
     tagged.write_text("the\tDT\nnun\tNN\n\nthe\tDT\nmonk\tNN\n\ntables\tNNS\n")
@@ -529,31 +616,23 @@ SUBCOMMAND_OPTIONS = {
 
 
 def test_each_subcommand_takes_only_the_options_it_reads():
-    subparsers = next(
-        action for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
+    subcommands = _subcommands()
     options = {
         name: [
             action.option_strings[0] if action.option_strings else action.dest
             for action in parser._actions
             if not isinstance(action, argparse._HelpAction)
         ]
-        for name, parser in subparsers.choices.items()
+        for name, parser in subcommands.items()
     }
     assert options == SUBCOMMAND_OPTIONS
     assert sum(map(len, options.values())) == 58
-    formats = {
-        name: action.choices
-        for name, parser in subparsers.choices.items()
-        for action in parser._actions
-        if action.dest == "format"
-    }
-    assert formats == {
+    assert {name: _format_choices(parser) for name, parser in subcommands.items()} == {
         "classify": ("table", "json", "tsv"),
         "evaluate": ("table", "json", "tsv"),
         "grid-search": ("table", "json"),
         "corpus-report": ("table", "json"),
+        "snapshot": (),
     }
 
 
