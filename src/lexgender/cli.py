@@ -4,6 +4,10 @@ Subcommands: classify, evaluate, grid-search, corpus-report, snapshot.
 With no dictionary options the bundled snapshots are used, so everything
 works offline out of the box.
 
+Each command returns one payload and ``main`` prints it: ``--format json``
+prints it as JSON, table and tsv render that same payload, and ``evaluate
+--out`` writes whichever format was asked for to its file.
+
 Exit codes: 0 success, 1 usage or environment error, 2 transport error,
 3 malformed data file.
 """
@@ -15,6 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import data as bundled
 from .classifier import ClassificationResult, classify
@@ -102,10 +107,16 @@ def _param_options(parser: argparse.ArgumentParser) -> None:
     tuning.add_argument("-w", type=int, default=default.w, help="seed pairs used (default %(default)s)")
 
 
-def _format_option(parser: argparse.ArgumentParser, *formats: str) -> None:
+def _json(payload) -> Iterator[str]:
+    yield json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _format_option(parser: argparse.ArgumentParser, **renderers) -> None:
+    """``--format``: one choice per renderer, in the order given; each yields the report's lines."""
     parser.add_argument(
-        "--format", choices=formats, default="table", help="output format (default table)"
+        "--format", choices=tuple(renderers), default="table", help="output format (default table)"
     )
+    parser.set_defaults(renderers=renderers)
 
 
 def _word_options(parser: argparse.ArgumentParser, words_help: str) -> None:
@@ -114,14 +125,14 @@ def _word_options(parser: argparse.ArgumentParser, words_help: str) -> None:
 
 
 def _build_providers(args, parser: _Parser) -> list[Provider]:
+    if args.live and args.offline:  # before any source is loaded
+        parser.error("--offline forbids --live sources")
     providers: list[Provider] = []
     if args.wordnet:
         directory = bundled.wndb_dir() if args.wordnet == "bundled" else Path(args.wordnet)
         providers.append(WordNetProvider(directory))
     for path in args.snapshot:
         providers.append(SnapshotProvider(path))
-    if args.live and args.offline:
-        parser.error("--offline forbids --live sources")
     if args.live:
         from .providers.httpdict import CachedHttpProvider  # offline runs never load it
 
@@ -170,32 +181,20 @@ def _result_row(result: ClassificationResult) -> dict:
     }
 
 
-def _print_results(results: list[ClassificationResult], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps([_result_row(r) for r in results], indent=2, sort_keys=True))
-        return
-    if fmt == "tsv":
-        for r in results:
-            votes = ",".join(f"{v.provider_id}={v.label.value}" for v in r.verdicts)
-            print(f"{r.word}\t{r.combined.value}\t{r.route}\t{votes}")
-        return
-    for r in results:
-        print(f"{r.word:<20} {r.combined.value:<10} via {r.route}")
-        for v in r.verdicts:
-            print(
-                f"{'':<20}   {v.provider_id:<16} {v.label.value:<10}"
-                f" masc={v.masc_count} fem={v.fem_count} defs={v.definitions_used}"
+def _classify_table(rows: list[dict]) -> Iterator[str]:
+    for row in rows:
+        yield f"{row['word']:<20} {row['combined']:<10} via {row['route']}"
+        for v in row["providers"]:
+            yield (
+                f"{'':<20}   {v['provider']:<16} {v['label']:<10}"
+                f" masc={v['masc_count']} fem={v['fem_count']} defs={v['definitions_used']}"
             )
 
 
-def _classify_words(words: list[str], providers, params, jobs: int) -> list[ClassificationResult]:
-    lexicon = default_lexicon()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda w: classify(w, providers, params, lexicon), words))
-    return [classify(word, providers, params, lexicon) for word in words]
+def _classify_tsv(rows: list[dict]) -> Iterator[str]:
+    for row in rows:
+        votes = ",".join(f"{v['provider']}={v['label']}" for v in row["providers"])
+        yield f"{row['word']}\t{row['combined']}\t{row['route']}\t{votes}"
 
 
 def _words(args, parser: _Parser) -> list[str]:
@@ -215,54 +214,51 @@ def _words(args, parser: _Parser) -> list[str]:
     return words
 
 
-def _cmd_classify(args, parser: _Parser) -> int:
+def _cmd_classify(args, parser: _Parser) -> list[dict]:
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     words = _words(args, parser)
     providers = _build_providers(args, parser)
-    results = _classify_words(words, providers, _params(args), args.jobs)
-    _print_results(results, args.format)
-    return EXIT_OK
+    params, lexicon = _params(args), default_lexicon()
+    if args.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(lambda w: classify(w, providers, params, lexicon), words))
+    else:
+        results = [classify(word, providers, params, lexicon) for word in words]
+    return [_result_row(r) for r in results]
 
 
-def _metrics_lines(name: str, metrics) -> list[str]:
-    lines = [
-        f"{name:<18} n={metrics.n}  acc={metrics.accuracy:.4f}  "
-        f"P={metrics.weighted_precision:.4f}  R={metrics.weighted_recall:.4f}  "
-        f"F1={metrics.weighted_f1:.4f}"
-    ]
-    header = "gold\\pred" + "".join(f"{label:>11}" for label in ("masc", "fem", "neut", "not_found"))
-    lines.append(f"    {header}")
-    for gold_label, row in zip(("masc", "fem", "neut"), metrics.confusion):
-        lines.append(f"    {gold_label:<9}" + "".join(f"{n:>11}" for n in row))
-    return lines
+def _evaluate_table(report: dict) -> Iterator[str]:
+    for name, m in report["per_provider"].items():
+        yield (
+            f"{name:<18} n={m['n']}  acc={m['accuracy']:.4f}  "
+            f"P={m['weighted_precision']:.4f}  R={m['weighted_recall']:.4f}  "
+            f"F1={m['weighted_f1']:.4f}"
+        )
+        confusion = m["confusion"]
+        yield "    gold\\pred" + "".join(f"{label:>11}" for label in confusion["predicted_axis"])
+        for gold_label, row in zip(confusion["gold_axis"], confusion["rows"]):
+            yield f"    {gold_label:<9}" + "".join(f"{n:>11}" for n in row)
 
 
-def _cmd_evaluate(args, parser: _Parser) -> int:
+def _evaluate_tsv(report: dict) -> Iterator[str]:
+    yield "provider\tn\taccuracy\tprecision\trecall\tf1"
+    for name, m in report["per_provider"].items():
+        yield (
+            f"{name}\t{m['n']}\t{m['accuracy']:.4f}"
+            f"\t{m['weighted_precision']:.4f}"
+            f"\t{m['weighted_recall']:.4f}\t{m['weighted_f1']:.4f}"
+        )
+
+
+def _cmd_evaluate(args, parser: _Parser) -> dict:
     providers = _build_providers(args, parser)
     gold_file = args.gold or bundled.gold_path()
     gold = load_gold(gold_file)
     results = classify_gold(gold, providers, _params(args))
-    report = evaluate_results(results, gold, not_found_as_neut=args.not_found_as_neut)
-    if args.format == "json":
-        output = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    elif args.format == "tsv":
-        lines = ["provider\tn\taccuracy\tprecision\trecall\tf1"]
-        for name, metrics in report.per_provider.items():
-            lines.append(
-                f"{name}\t{metrics.n}\t{metrics.accuracy:.4f}"
-                f"\t{metrics.weighted_precision:.4f}"
-                f"\t{metrics.weighted_recall:.4f}\t{metrics.weighted_f1:.4f}"
-            )
-        output = "\n".join(lines)
-    else:
-        lines = []
-        for name, metrics in report.per_provider.items():
-            lines.extend(_metrics_lines(name, metrics))
-        output = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(output + "\n", encoding="utf-8")
-    else:
-        print(output)
-    return EXIT_OK
+    return evaluate_results(results, gold, not_found_as_neut=args.not_found_as_neut).to_dict()
 
 
 def _parse_range(text: str) -> range | tuple[int, ...]:
@@ -280,7 +276,18 @@ def _range_text(values: tuple[int, ...]) -> str:
     return f"{lo}..{hi}" if values == tuple(range(lo, hi + 1)) else ",".join(map(str, values))
 
 
-def _cmd_grid_search(args, parser: _Parser) -> int:
+def _grid_table(payload: dict) -> Iterator[str]:
+    yield "d\tt\tw\taccuracy"
+    for cell in payload["table"]:
+        yield f"{cell['d']}\t{cell['t']}\t{cell['w']}\t{cell['accuracy']:.4f}"
+    best = payload["best"]
+    yield (
+        f"best: d={best['d']} t={best['t']} w={best['w']} "
+        f"accuracy={payload['best_accuracy']:.4f}"
+    )
+
+
+def _cmd_grid_search(args, parser: _Parser) -> dict:
     providers = _build_providers(args, parser)
     gold_file = args.gold or bundled.gold_path()
     gold = load_gold(gold_file)
@@ -291,33 +298,27 @@ def _cmd_grid_search(args, parser: _Parser) -> int:
         t_range=args.t_range,
         w_range=args.w_range,
     )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "best": {"d": result.best.d, "t": result.best.t, "w": result.best.w},
-                    "best_accuracy": result.best_accuracy,
-                    "table": [
-                        {"d": d, "t": t, "w": w, "accuracy": acc}
-                        for (d, t, w), acc in result.table.items()
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print("d\tt\tw\taccuracy")
-        for (d, t, w), accuracy in result.table.items():
-            print(f"{d}\t{t}\t{w}\t{accuracy:.4f}")
-        print(
-            f"best: d={result.best.d} t={result.best.t} w={result.best.w} "
-            f"accuracy={result.best_accuracy:.4f}"
-        )
-    return EXIT_OK
+    return {
+        "best": {"d": result.best.d, "t": result.best.t, "w": result.best.w},
+        "best_accuracy": result.best_accuracy,
+        "table": [
+            {"d": d, "t": t, "w": w, "accuracy": acc}
+            for (d, t, w), acc in result.table.items()
+        ],
+    }
 
 
-def _cmd_corpus_report(args, parser: _Parser) -> int:
+def _corpus_table(payload: dict) -> Iterator[str]:
+    counts = payload["counts"]  # in GenderLabel order
+    yield f"{'label':<11}{'NN':>7}{'NNS':>7}{'all':>7}"
+    for label, row in counts.items():
+        yield f"{label:<11}{row['NN']:>7}{row['NNS']:>7}{row['all']:>7}"
+    nn = sum(row["NN"] for row in counts.values())
+    nns = sum(row["NNS"] for row in counts.values())
+    yield f"{'all':<11}{nn:>7}{nns:>7}{payload['total']:>7}"
+
+
+def _cmd_corpus_report(args, parser: _Parser) -> dict:
     providers = _build_providers(args, parser)
     with open_utf8(args.tagged) as fh:
         try:
@@ -325,27 +326,22 @@ def _cmd_corpus_report(args, parser: _Parser) -> int:
         except DataFormatError as exc:  # it names the line, not the file
             raise DataFormatError(f"{args.tagged}: {exc}") from None
     results = classify_inventory(records, providers, _params(args))
-    report = composition_report(results, records)
-    sample = gendered_sample(results) if args.format == "json" or args.sample_out else None
-    if args.format == "json":
-        payload = report.to_dict()
-        payload["gendered_sample"] = sample
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(report.as_table())
+    payload = composition_report(results, records).to_dict()
+    if args.format == "json" or args.sample_out:  # only these read the sample
+        payload["gendered_sample"] = gendered_sample(results)
     if args.sample_out:
-        Path(args.sample_out).write_text("\n".join(sample) + "\n", encoding="utf-8")
+        sample = payload["gendered_sample"]
+        Path(args.sample_out).write_text("".join(f"{word}\n" for word in sample), encoding="utf-8")
         print(f"wrote {len(sample)} gendered nouns to {args.sample_out}", file=sys.stderr)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_snapshot(args, parser: _Parser) -> int:
+def _cmd_snapshot(args, parser: _Parser) -> str:
     providers = _build_providers(args, parser)
     source = providers[0]
     words = _words(args, parser)
-    snapshot = snapshot_write(source, words, args.out)
-    print(f"captured {len(snapshot['entries'])} entries from {source.provider_id} to {args.out}")
-    return EXIT_OK
+    snapshot = snapshot_write(source, words, args.snapshot_file)
+    return f"captured {len(snapshot['entries'])} entries from {source.provider_id} to {args.snapshot_file}"
 
 
 def build_parser() -> _Parser:
@@ -356,7 +352,7 @@ def build_parser() -> _Parser:
     _word_options(p, "target words")
     _source_options(p)
     _param_options(p)
-    _format_option(p, "table", "json", "tsv")
+    _format_option(p, table=_classify_table, json=_json, tsv=_classify_tsv)
     p.add_argument("--jobs", type=int, default=1, help="concurrent classifications")
     p.set_defaults(func=_cmd_classify, parser=p)
 
@@ -370,7 +366,7 @@ def build_parser() -> _Parser:
     )
     _source_options(p)
     _param_options(p)
-    _format_option(p, "table", "json", "tsv")
+    _format_option(p, table=_evaluate_table, json=_json, tsv=_evaluate_tsv)
     p.set_defaults(func=_cmd_evaluate, parser=p)
 
     p = sub.add_parser("grid-search", help="search (d, t, w) for best combined accuracy")
@@ -379,7 +375,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-range", type=_parse_range, default=_range_text(GRID_T_RANGE), help="token range (default %(default)s)")
     p.add_argument("--w-range", type=_parse_range, default=_range_text(GRID_W_RANGE), help="seed-pair range (default %(default)s)")
     _source_options(p)
-    _format_option(p, "table", "json")
+    _format_option(p, table=_grid_table, json=_json)
     p.set_defaults(func=_cmd_grid_search, parser=p)
 
     p = sub.add_parser("corpus-report", help="gender composition of a tagged corpus")
@@ -387,14 +383,14 @@ def build_parser() -> _Parser:
     p.add_argument("--sample-out", metavar="FILE", help="also write the gendered-noun sample")
     _source_options(p)
     _param_options(p)
-    _format_option(p, "table", "json")
+    _format_option(p, table=_corpus_table, json=_json)
     p.set_defaults(func=_cmd_corpus_report, parser=p)
 
     p = sub.add_parser("snapshot", help="freeze definitions from the first configured source")
     _word_options(p, "words to capture")
-    p.add_argument("--out", required=True, metavar="FILE", help="snapshot file to write")
+    p.add_argument("--out", dest="snapshot_file", required=True, metavar="FILE", help="snapshot file to write")
     _source_options(p)
-    p.set_defaults(func=_cmd_snapshot, parser=p)
+    p.set_defaults(func=_cmd_snapshot, parser=p, format="table", renderers={"table": str.splitlines})
 
     return parser
 
@@ -403,7 +399,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, args.parser)  # usage errors name the subcommand
+        payload = args.func(args, args.parser)  # usage errors name the subcommand
+        report = "\n".join(args.renderers[args.format](payload))
+        if getattr(args, "out", None):  # evaluate's --out; snapshot's names its own file
+            Path(args.out).write_text(report + "\n", encoding="utf-8")
+        else:
+            print(report)
+        return EXIT_OK
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except TransportError as exc:
@@ -412,10 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataFormatError as exc:
         print(f"lexgender: bad data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"lexgender: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"lexgender: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -34,17 +34,6 @@ class CompositionReport(NamedTuple):
     def to_dict(self) -> dict:
         return {"counts": self.counts, "total": self.total}
 
-    def as_table(self) -> str:
-        header = f"{'label':<11}{'NN':>7}{'NNS':>7}{'all':>7}"
-        lines = [header]
-        for label in GenderLabel:
-            row = self.counts[label.value]
-            lines.append(f"{label.value:<11}{row['NN']:>7}{row['NNS']:>7}{row['all']:>7}")
-        nn = sum(self.counts[l.value]["NN"] for l in GenderLabel)
-        nns = sum(self.counts[l.value]["NNS"] for l in GenderLabel)
-        lines.append(f"{'all':<11}{nn:>7}{nns:>7}{self.total:>7}")
-        return "\n".join(lines)
-
 
 def _clean_surface(token: str) -> str | None:
     """Lowercased surface, or None when it contains disallowed characters.

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,19 @@ def test_offline_forbids_live(capsys):
     code, _, err = run(capsys, "classify", "--offline", "--live", "merriam_webster", "nun")
     assert code == 1
     assert "forbids" in err
+
+
+def test_offline_with_live_is_rejected_before_any_source_loads(capsys, tmp_path):
+    wndb = tmp_path / "wndb"
+    wndb.mkdir()
+    for name in ("data.noun", "index.noun"):  # not an index cache an earlier run left there
+        shutil.copy(wndb_dir() / name, wndb)
+    code, out, err = run(
+        capsys, "classify", "--wordnet", str(wndb), "--live", "merriam_webster", "--offline", "nun"
+    )
+    assert code == 1 and not out
+    assert "--offline forbids --live sources" in err
+    assert sorted(path.name for path in wndb.iterdir()) == ["data.noun", "index.noun"]  # no index cache
 
 
 def test_offline_never_touches_network(capsys, monkeypatch):
@@ -433,6 +447,16 @@ def test_corpus_report_sample_out(capsys, tmp_path, toy_corpus_file):
     assert "table" not in sample
 
 
+def test_corpus_report_empty_sample_writes_an_empty_file(capsys, tmp_path):
+    tagged = tmp_path / "tagged.tsv"
+    tagged.write_text("the\tDT\ntable\tNN\n")
+    out_path = tmp_path / "sample.txt"
+    code, _, err = run(capsys, "corpus-report", str(tagged), "--sample-out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == b""  # not one empty word
+    assert err == f"wrote 0 gendered nouns to {out_path}\n"
+
+
 def test_corpus_report_undecodable_corpus_exits_3(capsys, tmp_path):
     tagged = tmp_path / "bad.tsv"
     tagged.write_bytes(b"the\tDT\ncaf\xe9\tNN\n")
@@ -690,8 +714,13 @@ def test_snapshot_takes_words_on_both_sides_of_options(capsys, tmp_path):
         (["snapshot", "nun", "--out", "snap.json", "--format", "json"], "unrecognized arguments: --format"),
         (["evaluate", "nun"], "unrecognized arguments: nun"),
         (["grid-search", "-d", "3"], "unrecognized arguments: -d 3"),
+        (["classify", "nun", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["classify", "nun", "--jobs", "-3"], "--jobs must be >= 1, got -3"),
     ],
-    ids=["classify-unknown-option", "classify-no-words", "snapshot-format", "evaluate-word", "grid-search-d"],
+    ids=[
+        "classify-unknown-option", "classify-no-words", "snapshot-format", "evaluate-word", "grid-search-d",
+        "classify-jobs-0", "classify-jobs-negative",
+    ],
 )
 def test_usage_error_in_a_subcommand_prints_its_usage(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
