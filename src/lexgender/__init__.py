@@ -1,4 +1,11 @@
-"""Lexical gender detection for English nouns via dictionary definitions."""
+"""Lexical gender detection for English nouns via dictionary definitions.
+
+The classifier, core and error names load with the package. The evaluation
+names (``GoldEntry``, ``GridSearchResult``, ``Metrics``, ``evaluate``,
+``evaluate_results``, ``grid_search``, ``load_gold``) are imported from
+``lexgender.evaluation`` on first access, so a run that only classifies
+never loads it.
+"""
 
 from .classifier import (
     ClassificationResult,
@@ -24,15 +31,19 @@ from .core import (
     default_lexicon,
 )
 from .errors import DataFormatError, LexgenderError, TransportError
-from .evaluation import (
-    GoldEntry,
-    GridSearchResult,
-    Metrics,
-    evaluate,
-    evaluate_results,
-    grid_search,
-    load_gold,
+
+_LAZY_NAMES = frozenset(
+    ("GoldEntry", "GridSearchResult", "Metrics", "evaluate", "evaluate_results", "grid_search", "load_gold")
 )
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
+
+    return getattr(evaluation, name)
+
 
 __version__ = "0.1.0"
 

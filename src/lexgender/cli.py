@@ -4,6 +4,11 @@ Subcommands: classify, evaluate, grid-search, corpus-report, snapshot.
 With no dictionary options the bundled snapshots are used, so everything
 works offline out of the box.
 
+A module that only some commands read is imported when one of them runs:
+``evaluation`` by evaluate and grid-search, ``corpus`` by corpus-report,
+the WNDB parser by ``--wordnet`` and the HTTP client by ``--live``. So
+``classify`` on the bundled snapshots loads none of them.
+
 Each command returns one payload and ``main`` prints it: ``--format json``
 prints it as JSON, table and tsv render that same payload, and ``evaluate
 --out`` writes whichever format was asked for to its file.
@@ -30,10 +35,8 @@ from .core import (
     GRID_W_RANGE,
     default_lexicon,
 )
-from .corpus import composition_report, classify_inventory, gendered_sample, ingest_tagged
 from .errors import DataFormatError, TransportError, open_utf8
-from .evaluation import classify_gold, evaluate_results, grid_search, load_gold
-from .providers import Provider, SnapshotProvider, WordNetProvider, snapshot_write
+from .providers import Provider, SnapshotProvider, snapshot_write
 
 CACHE_ENV_VAR = "LEXGENDER_CACHE"
 
@@ -129,6 +132,8 @@ def _build_providers(args, parser: _Parser) -> list[Provider]:
         parser.error("--offline forbids --live sources")
     providers: list[Provider] = []
     if args.wordnet:
+        from .providers.wndb import WordNetProvider
+
         directory = bundled.wndb_dir() if args.wordnet == "bundled" else Path(args.wordnet)
         providers.append(WordNetProvider(directory))
     for path in args.snapshot:
@@ -254,6 +259,8 @@ def _evaluate_tsv(report: dict) -> Iterator[str]:
 
 
 def _cmd_evaluate(args, parser: _Parser) -> dict:
+    from .evaluation import classify_gold, evaluate_results, load_gold
+
     providers = _build_providers(args, parser)
     gold_file = args.gold or bundled.gold_path()
     gold = load_gold(gold_file)
@@ -288,6 +295,8 @@ def _grid_table(payload: dict) -> Iterator[str]:
 
 
 def _cmd_grid_search(args, parser: _Parser) -> dict:
+    from .evaluation import grid_search, load_gold
+
     providers = _build_providers(args, parser)
     gold_file = args.gold or bundled.gold_path()
     gold = load_gold(gold_file)
@@ -319,6 +328,8 @@ def _corpus_table(payload: dict) -> Iterator[str]:
 
 
 def _cmd_corpus_report(args, parser: _Parser) -> dict:
+    from .corpus import classify_inventory, composition_report, gendered_sample, ingest_tagged
+
     providers = _build_providers(args, parser)
     with open_utf8(args.tagged) as fh:
         try:

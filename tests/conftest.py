@@ -1,4 +1,5 @@
 import os
+import shutil
 import threading
 from pathlib import Path
 
@@ -23,8 +24,17 @@ def bundled_providers():
 
 
 @pytest.fixture(scope="session")
-def wordnet():
-    return WordNetProvider(wndb_dir())
+def bundled_wndb(tmp_path_factory):
+    """A copy of the bundled WNDB's two text files: a load writes its index cache here, not into the package."""
+    directory = tmp_path_factory.mktemp("wndb")
+    for name in ("data.noun", "index.noun"):
+        shutil.copyfile(wndb_dir() / name, directory / name)
+    return directory
+
+
+@pytest.fixture(scope="session")
+def wordnet(bundled_wndb):
+    return WordNetProvider(bundled_wndb)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 
 from lexgender.classifier import classify, combine, count_gendered, suffix_heuristic
 from lexgender.core import ClassifierParams, GenderLabel, default_lexicon
-from lexgender.data import gold_path, snapshot_path, wndb_dir, BUNDLED_SNAPSHOT_IDS
+from lexgender.data import gold_path, snapshot_path, BUNDLED_SNAPSHOT_IDS
 from lexgender.corpus import (
     classify_inventory,
     composition_report,
@@ -71,9 +71,9 @@ def test_criterion_2_gold_composition():
     _report("criterion 2: gold composition 53 masc / 53 fem / 28 neut = 134")
 
 
-def test_criterion_3_wordnet_error_regressions():
+def test_criterion_3_wordnet_error_regressions(bundled_wndb):
     """WordNet-only WNDB classification: widow -> neut, crew -> masc."""
-    wordnet = WordNetProvider(wndb_dir())
+    wordnet = WordNetProvider(bundled_wndb)
     widow = classify("widow", [wordnet])
     crew = classify("crew", [wordnet])
     assert widow.combined is NEUT, widow

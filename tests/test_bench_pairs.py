@@ -198,3 +198,26 @@ def test_a_directory_side_needs_out_and_a_benchmark(tmp_path, capsys):
         bench_pairs.main(["--parent", str(tree), "--change", str(tree), "--seed", "1",
                           "--out", str(tmp_path / "bench.json")])
     assert "must hold perfbench/run.py and src/lexgender/" in capsys.readouterr().err
+
+
+def test_environment_names_the_cpu_and_the_bytecode_policy(tmp_path, monkeypatch, kept_signal_handlers):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    parent, change = _fake_tree(tmp_path / "parent", 1.0), _fake_tree(tmp_path / "change", 0.5)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--pairs", "1",
+            "--workload", "cli_cold", "--seed", "7", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    environment = json.loads(out.read_text())["environment"]
+    assert environment["bytecode"] == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": None}
+    assert environment["cpu_model"] == bench_pairs.cpu_model()
+
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text(
+        "processor\t: 0\nvendor_id\t: Example\nmodel name\t: Example CPU @ 2.00GHz\n\n"
+        "processor\t: 1\nmodel name\t: Other CPU\n"
+    )
+    assert bench_pairs.cpu_model(cpuinfo) == "Example CPU @ 2.00GHz"
+    cpuinfo.write_text("processor\t: 0\nfeatures\t: fp asimd\n")  # some architectures name no model
+    assert bench_pairs.cpu_model(cpuinfo) is None
+    assert bench_pairs.cpu_model(tmp_path / "missing") is None

@@ -1,16 +1,19 @@
-"""Lookup budgets: how often the grid search and ``classify`` ask a source.
+"""Work budgets: how often the grid search, ``classify`` and the corpus pipeline ask a source or parse a line.
 
 A counting in-memory source records every lookup, so a change that looks a
 word up once per cell, or on a route that needs no dictionary, fails here
-without any counter in the library.
+without any counter in the library. Corpus ingest is counted by wrapping
+its line parser.
 """
 
 from collections import Counter
 
 import pytest
 
+from lexgender import corpus
 from lexgender.classifier import ROUTE_SEED, ROUTE_SUFFIX, classify, suffix_heuristic
 from lexgender.core import GenderLabel, default_lexicon
+from lexgender.corpus import NounRecord, classify_inventory, ingest_tagged
 from lexgender.data import gold_path
 from lexgender.evaluation import GoldEntry, grid_search, load_gold
 from lexgender.providers.base import DefinitionSet
@@ -64,10 +67,10 @@ def _strip(word):
     return "".join(ch for ch in word if ch.isalnum())
 
 
-def _budget(table, gold):
-    """Each dictionary-routed gold word once, and its stripped form once where missing."""
+def _budget(table, words):
+    """Each distinct dictionary-routed word once, and its stripped form once where missing."""
     lexicon, budget = default_lexicon(), Counter()
-    for word in dict.fromkeys(entry.word for entry in gold):
+    for word in dict.fromkeys(words):
         if lexicon.shortcut_label(word) or suffix_heuristic(word):
             continue  # seed and suffix routes: no dictionary
         budget[word] += 1
@@ -86,7 +89,7 @@ def test_grid_search_looks_each_word_up_once_per_source(ranges):
     result = grid_search(GOLD, providers, **ranges)
     assert len(result.table) == (1 if ranges else 441)
     for provider in providers:
-        assert provider.lookups == _budget(provider.table, GOLD), provider.provider_id
+        assert provider.lookups == _budget(provider.table, (entry.word for entry in GOLD)), provider.provider_id
     # the stripped retry only where the word is missing as it is
     assert "stepmother" in providers[0].lookups and "stepmother" not in providers[1].lookups
 
@@ -102,7 +105,7 @@ def test_grid_search_budget_on_the_bundled_gold_list(ranges):
     gold = load_gold(gold_path())
     provider = TableProvider("alpha", {})
     grid_search(gold, [provider], **ranges)
-    assert provider.lookups == _budget({}, gold)
+    assert provider.lookups == _budget({}, (entry.word for entry in gold))
     assert provider.lookups["stepmother"] == 2
 
 
@@ -115,3 +118,34 @@ def test_classify_does_no_lookup_on_the_seed_and_suffix_routes(word, route):
     assert classify(word, providers).route == route
     assert [provider.lookups for provider in providers] == [Counter(), Counter()]
 
+
+
+def test_classify_inventory_classifies_each_distinct_surface_once():
+    # an NN and an NNS record of one surface share one classification
+    records = [
+        NounRecord(surface, pos, 1)
+        for surface in ("crew", "grand-father", "nurse", "qzxv", "step-mother", "woman", "chairman")
+        for pos in ("NN", "NNS")
+    ]
+    providers = [TableProvider(pid, table) for pid, table in TABLES.items()]
+    results = classify_inventory(records, providers)
+    assert list(results) == list(dict.fromkeys(record.surface for record in records))
+    for provider in providers:
+        budget = _budget(provider.table, (record.surface for record in records))
+        assert provider.lookups == budget, provider.provider_id
+
+
+def test_ingest_parses_each_distinct_line_once(monkeypatch):
+    parsed = Counter()
+    noun_key = corpus._noun_key
+
+    def counting(line):
+        parsed[line] += 1
+        return noun_key(line)
+
+    monkeypatch.setattr(corpus, "_noun_key", counting)
+    sentence = ["the\tDT\n", "nun\tNN\n", "and\tCC\n", "the\tDT\n", "monks\tNNS\n", "\n"]
+    lines = sentence * 50 + ["nun\tNNS\n", "Nun\tNN\n"] + sentence * 50
+    records = ingest_tagged(lines)
+    assert parsed == Counter(dict.fromkeys(lines, 1))
+    assert records == [NounRecord("monks", "NNS", 100), NounRecord("nun", "NN", 101), NounRecord("nun", "NNS", 1)]

@@ -11,6 +11,9 @@ from types import SimpleNamespace
 import pytest
 import requests
 
+import lexgender
+import lexgender.data
+import lexgender.providers
 from lexgender.cli import _parse_range, build_parser, main
 from lexgender.core import GRID_D_RANGE, GRID_T_RANGE, GRID_W_RANGE, ClassifierParams
 from lexgender.data import gold_path, snapshot_path, toy_corpus_path, wndb_dir
@@ -120,32 +123,108 @@ UNUSED_OFFLINE_MODULES = (
 )
 
 
-@pytest.mark.parametrize(
-    "code",
-    [
-        "import lexgender",
-        "import lexgender.cli",
-        "import contextlib, io, lexgender.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert lexgender.cli.main(['evaluate', '--format', 'json']) == 0",
-    ],
-    ids=["import-lexgender", "import-cli", "cli-evaluate"],
-)
-def test_offline_start_imports_no_live_only_module(code):
-    # requests and the thread pool cost about half of an offline CLI run's start-up;
-    # html.parser is needed by nothing in the package; dataclasses and the live
-    # sources' modules cost about a quarter of what is left
-    modules = LIVE_ONLY_MODULES + UNUSED_OFFLINE_MODULES
-    probe = f"{code}\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
+def _fresh_interpreter(code: str) -> str:
+    """What ``code`` prints, run in a new interpreter on this checkout's ``src``."""
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def _cli_run(*argv: str) -> str:
+    """Code that runs the CLI with ``argv`` in the probing interpreter, its report discarded."""
+    return (
+        "import contextlib, io, lexgender.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert lexgender.cli.main({list(argv)!r}) == 0"
+    )
+
+
+def _modules_loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a new interpreter holds after running ``code``."""
+    return json.loads(_fresh_interpreter(
+        f"{code}\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    ))
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import lexgender", "import lexgender.cli", _cli_run("evaluate", "--format", "json")],
+    ids=["import-lexgender", "import-cli", "cli-evaluate"],
+)
+def test_offline_start_imports_no_live_only_module(code):
+    # requests and the thread pool cost about half of an offline CLI run's start-up;
+    # html.parser is needed by nothing in the package; dataclasses and the live
+    # sources' modules cost about a quarter of what is left
+    assert _modules_loaded(code, LIVE_ONLY_MODULES + UNUSED_OFFLINE_MODULES) == []
+
+
+# Modules only some commands read; without bytecode caches each is compiled
+# again by every start that imports it.
+PER_COMMAND_MODULES = ("lexgender.evaluation", "lexgender.corpus", "lexgender.providers.wndb")
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import lexgender", []),
+        ("import lexgender.cli", []),
+        (_cli_run("classify", "--format", "json", "nun"), []),
+        (_cli_run("evaluate", "--format", "json"), ["lexgender.evaluation"]),
+        (_cli_run("corpus-report", str(toy_corpus_path())), ["lexgender.corpus"]),
+        (_cli_run("classify", "--wordnet", "{wndb}", "nun"), ["lexgender.providers.wndb"]),
+    ],
+    ids=["import-lexgender", "import-cli", "classify", "evaluate", "corpus-report", "classify-wordnet"],
+)
+def test_a_cold_command_imports_only_the_modules_it_reads(code, loaded, bundled_wndb):
+    assert _modules_loaded(code.replace("{wndb}", str(bundled_wndb)), PER_COMMAND_MODULES) == loaded
+
+
+# Each package's names are resolved first, in a new interpreter, and only then
+# compared with the modules that define them.
+LAZY_NAMES_PROBE = """
+import importlib, json
+homes = {
+    "lexgender": ("classifier", "core", "errors", "evaluation"),
+    "lexgender.providers": ("base", "snapshot", "wndb", "httpdict", "htmlextract"),
+}
+resolved = {}
+for package in homes:
+    if MODE == "star":
+        names = {}
+        exec(f"from {package} import *", names)
+    else:
+        module = importlib.import_module(package)
+        names = {name: getattr(module, name) for name in module.__all__}
+    resolved[package] = names
+wrong = []
+for package, modules in homes.items():
+    names = resolved[package]
+    defined = [vars(importlib.import_module(f"{package}.{m}")) for m in modules]
+    for name in importlib.import_module(package).__all__:
+        held = [namespace[name] for namespace in defined if name in namespace]
+        if name not in names or not held or any(value is not names[name] for value in held):
+            wrong.append(f"{package}.{name}")
+print(json.dumps(wrong))
+"""
+
+
+@pytest.mark.parametrize("mode", ["getattr", "star"])
+def test_every_public_name_resolves_to_its_defining_module(mode):
+    # lexgender serves its evaluation names, and lexgender.providers its WNDB and live ones, on first access
+    assert json.loads(_fresh_interpreter(f"MODE = {mode!r}\n{LAZY_NAMES_PROBE}")) == []
+
+
+@pytest.mark.parametrize("package", [lexgender, lexgender.providers], ids=lambda p: p.__name__)
+def test_an_unknown_public_name_raises_attribute_error(package):
+    with pytest.raises(AttributeError) as excinfo:
+        getattr(package, "no_such_name")
+    assert str(excinfo.value) == f"module {package.__name__!r} has no attribute 'no_such_name'"
 
 
 INJECTED_SESSION_LOOKUPS = """
@@ -173,15 +252,7 @@ print("requests" in sys.modules)
 
 def test_injected_session_imports_no_requests():
     # a session passed in cannot raise a requests error unless requests was imported
-    proc = subprocess.run(
-        [sys.executable, "-c", INJECTED_SESSION_LOOKUPS],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh_interpreter(INJECTED_SESSION_LOOKUPS) == "False"
 
 
 def test_duplicate_provider_ids_rejected(capsys):
@@ -499,11 +570,11 @@ def test_snapshot_cli_gold_words(capsys, tmp_path):
     assert "captured 129 entries" in out
 
 
-def test_snapshot_cli_explicit_words_roundtrip(capsys, tmp_path):
+def test_snapshot_cli_explicit_words_roundtrip(capsys, tmp_path, bundled_wndb):
     out_file = tmp_path / "snap.json"
     code, _, _ = run(
         capsys, "snapshot", "nun", "monk", "qzxv",
-        "--wordnet", str(wndb_dir()),
+        "--wordnet", str(bundled_wndb),
         "--out", str(out_file),
     )
     assert code == 0
@@ -699,7 +770,8 @@ def test_classify_takes_words_on_both_sides_of_options(capsys, argv):
     assert [line.split("\t")[0] for line in out.splitlines()] == ["nun", "crew"]
 
 
-def test_snapshot_takes_words_on_both_sides_of_options(capsys, tmp_path):
+def test_snapshot_takes_words_on_both_sides_of_options(capsys, tmp_path, monkeypatch, bundled_wndb):
+    monkeypatch.setattr(lexgender.data, "wndb_dir", lambda: bundled_wndb)  # "bundled" loads the copy
     out_file = tmp_path / "snap.json"
     code, _, err = run(capsys, "snapshot", "nun", "--out", str(out_file), "monk", "--wordnet", "bundled", "qzxv")
     assert code == 0, err

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import shutil
 
 import pytest
 
@@ -146,6 +147,12 @@ class _NoNetwork:
         raise AssertionError("a cached lookup sent a request")
 
 
+def _bundled_wndb(tmp_path):
+    for name in ("data.noun", "index.noun"):  # a copy: the load writes its index cache here
+        shutil.copyfile(wndb_dir() / name, tmp_path / name)
+    return WordNetProvider(tmp_path, provider_id="wn")
+
+
 def _cached_live(tmp_path):
     (tmp_path / "merriam_webster").mkdir()
     write_entry_atomic(str(cache_file(tmp_path, "merriam_webster", "nun")), {"found": True, "definitions": [NUN]})
@@ -156,7 +163,7 @@ def _cached_live(tmp_path):
     "build, provider_id",
     [
         (lambda tmp_path: SnapshotProvider(snapshot_path("wordnet")), "wordnet"),
-        (lambda tmp_path: WordNetProvider(wndb_dir(), provider_id="wn"), "wn"),
+        (_bundled_wndb, "wn"),
         (_cached_live, "merriam_webster"),
     ],
     ids=["snapshot", "wndb", "http"],

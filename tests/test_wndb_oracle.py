@@ -24,7 +24,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexgender.data import wndb_dir
 from lexgender.errors import DataFormatError, open_utf8
 from lexgender.providers import load_noun_index, wndb, wndb_cache
 from lexgender.providers.wndb import CASE_MESSAGE, FIELD_COUNT_MESSAGE, HEAD_MESSAGE
@@ -109,8 +108,8 @@ def _position(error) -> tuple[bool, int]:
     return (error[1].startswith("index.noun"), error[2])
 
 
-def test_bundled_db_matches_oracle():
-    assert load_noun_index(wndb_dir()) == oracle_load_noun_index(wndb_dir())
+def test_bundled_db_matches_oracle(bundled_wndb):
+    assert load_noun_index(bundled_wndb) == oracle_load_noun_index(bundled_wndb)
 
 
 def test_mini_fixture_matches_oracle(tests_data):

@@ -29,6 +29,10 @@ no more of the change's operations failed than of the parent's. It also
 records ``first_wins``, the pairs in which the side that ran first read
 better, and flags the metric ``order_driven`` when that is at least nine in
 ten of the pairs compared: such a metric follows run order, not code.
+Its ``environment`` names the CPU model and the bytecode settings every run
+inherits (``PYTHONDONTWRITEBYTECODE``, ``PYTHONPYCACHEPREFIX``; null when
+unset): with bytecode writes off, each fresh interpreter compiles the
+package it imports, so a start-up figure means little without that policy.
 Only the standard library is used.
 """
 
@@ -49,6 +53,7 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+BYTECODE_SETTINGS = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")  # inherited by every run
 
 
 def git(*args: str) -> str:
@@ -153,6 +158,19 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return result, source
 
 
+def cpu_model(cpuinfo: str | Path = "/proc/cpuinfo") -> str | None:
+    """The first ``model name`` in ``cpuinfo``, or None where there is none or it cannot be read."""
+    try:
+        with open(cpuinfo, encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                key, colon, value = line.partition(":")
+                if colon and key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return None
+
+
 def _stop(signum, frame):
     raise SystemExit(128 + signum)
 
@@ -225,7 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": spec["run_seconds"],
                      "order": "parent first in even pairs (0, 2, ...), change first in odd ones"},
         "environment": {"python": platform.python_version(), "platform": platform.platform(),
-                        "nproc": os.cpu_count(), "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
+                        "cpu_model": cpu_model(), "nproc": os.cpu_count(),
+                        "bytecode": {name: os.environ.get(name) for name in BYTECODE_SETTINGS},
+                        "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
         "workloads": summarize(pairs, spec["end_to_end"]),
         "pairs": pairs,
     }
