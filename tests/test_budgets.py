@@ -119,7 +119,6 @@ def test_classify_does_no_lookup_on_the_seed_and_suffix_routes(word, route):
     assert [provider.lookups for provider in providers] == [Counter(), Counter()]
 
 
-
 def test_classify_inventory_classifies_each_distinct_surface_once():
     # an NN and an NNS record of one surface share one classification
     records = [
