@@ -89,8 +89,8 @@ _new_verdict = ProviderVerdict._make
 _new_result = ClassificationResult._make
 
 
-def tokenize(definition: str, limit: int | None = None) -> list[str]:
-    """Lowercase tokens of a definition, in order; only the first ``limit`` (>= 1) if given.
+def tokenize(definition: str) -> list[str]:
+    """Lowercase tokens of a definition, in order.
 
     Splits on whitespace and strips leading/trailing punctuation from each
     token; internal punctuation (hyphens, apostrophes) is retained, so
@@ -103,8 +103,6 @@ def tokenize(definition: str, limit: int | None = None) -> list[str]:
         token = raw if raw.isalnum() else raw.strip(_STRIP_CHARS)
         if token:
             tokens.append(token)
-            if len(tokens) == limit:
-                break
     return tokens
 
 

@@ -106,18 +106,17 @@ class _SeedLexicon(NamedTuple):
 class SeedLexicon(_SeedLexicon):
     """The ordered gendered seed pairs plus the plural form of every seed.
 
-    Pairs are ordered by rank; truncation to the first ``w`` pairs preserves
-    that order. Matching against the lexicon is case-insensitive by
-    convention: callers lowercase at the boundary, the lexicon stores
-    lowercase only.
+    Pairs are ordered by rank, strictly ascending, so truncation to the
+    first ``w`` pairs keeps the ``w`` best-ranked ones. Matching against
+    the lexicon is case-insensitive by convention: callers lowercase at the
+    boundary, the lexicon stores lowercase only.
     """
 
     __slots__ = ()
 
     def __new__(cls, pairs: tuple[SeedPair, ...], plurals: dict[str, str]):
-        ranks = [p.rank for p in pairs]
-        if len(set(ranks)) != len(ranks):
-            raise ValueError("pair ranks must be unique")
+        if any(a.rank >= b.rank for a, b in zip(pairs, pairs[1:])):
+            raise ValueError("pair ranks must be strictly ascending")
         forms = [f for p in pairs for f in (p.feminine, p.masculine)]
         if len(set(forms)) != len(forms):
             raise ValueError("a seed form appears in more than one pair")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import tempfile
 import threading
 import time
@@ -108,16 +107,6 @@ def read_entry(path: str) -> object:
         raise DataFormatError(f"corrupt cache entry {path}: {exc}") from exc
 
 
-def _request_errors() -> type[Exception] | tuple[()]:
-    """``requests.RequestException`` once ``requests`` is loaded, else nothing to catch.
-
-    A session can raise a ``requests`` error only if the module was imported,
-    so ``_fetch`` never imports it for an injected session.
-    """
-    requests = sys.modules.get("requests")
-    return () if requests is None else requests.RequestException
-
-
 class CachedHttpProvider:
     """Definition lookups against one online dictionary, cache first.
 
@@ -174,8 +163,9 @@ class CachedHttpProvider:
     def _fetch(self, word: str) -> dict:
         """The entry for ``word`` from the network; the caller holds ``self._lock``.
 
-        The one place a live lookup fails: a session error, a status other than 200
-        or 404, or an empty page raises TransportError naming the provider and the word.
+        The one place a live lookup fails: a session error (any ``OSError``, which every
+        ``requests`` error subclasses), a status other than 200 or 404, or an empty page
+        raises TransportError naming the provider and the word.
         """
         url = self.site.url_template.format(word=urllib.parse.quote(word, safe=""))
         wait = self._last_request + self.min_request_interval - time.monotonic()
@@ -185,7 +175,7 @@ class CachedHttpProvider:
             response = self.session.get(
                 url, headers={"User-Agent": _USER_AGENT}, timeout=self.timeout
             )
-        except _request_errors() as exc:
+        except OSError as exc:
             raise TransportError(f"{self.provider_id}: request for {word!r} failed: {exc}") from exc
         finally:
             self._last_request = time.monotonic()

@@ -1,12 +1,19 @@
-"""Work budgets: how often the grid search, ``classify`` and the corpus pipeline ask a source or parse a line.
+"""Work budgets: how often the grid search, ``classify`` and the corpus pipeline ask a source or parse a line,
+and what a cached WNDB load and a warm live hit cost in file operations.
 
 A counting in-memory source records every lookup, so a change that looks a
 word up once per cell, or on a route that needs no dictionary, fails here
 without any counter in the library. Corpus ingest is counted by wrapping
-its line parser.
+its line parser, and the cache reads by wrapping ``open`` and ``os`` calls.
+No budget is timed.
 """
 
+import builtins
+import os
+import shutil
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -16,7 +23,9 @@ from lexgender.core import GenderLabel, default_lexicon
 from lexgender.corpus import NounRecord, classify_inventory, ingest_tagged
 from lexgender.data import gold_path
 from lexgender.evaluation import GoldEntry, grid_search, load_gold
+from lexgender.providers import wndb
 from lexgender.providers.base import DefinitionSet
+from lexgender.providers.httpdict import CachedHttpProvider, write_entry_atomic
 
 MASC, FEM, NEUT = GenderLabel.MASC, GenderLabel.FEM, GenderLabel.NEUT
 
@@ -148,3 +157,68 @@ def test_ingest_parses_each_distinct_line_once(monkeypatch):
     records = ingest_tagged(lines)
     assert parsed == Counter(dict.fromkeys(lines, 1))
     assert records == [NounRecord("monks", "NNS", 100), NounRecord("nun", "NN", 101), NounRecord("nun", "NNS", 1)]
+
+
+def test_a_cached_wndb_load_hashes_each_text_file_once_and_parses_nothing(tmp_path, tests_data, monkeypatch):
+    db = tmp_path / "wndb"
+    db.mkdir()
+    for name in (wndb.DATA_FILE, wndb.INDEX_FILE):
+        shutil.copy(tests_data / "wndb_mini" / name, db / name)
+    fresh = wndb.load_noun_index(db)  # writes the cache
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if Path(file).parent == db:
+            opened[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for parser in ("_parse_noun_index", "_parse_data_noun"):
+        monkeypatch.setattr(wndb, parser, mock.Mock(side_effect=AssertionError(f"{parser} ran on a cached load")))
+    assert wndb.load_noun_index(db) == fresh
+    assert opened == Counter({wndb.DATA_FILE: 1, wndb.INDEX_FILE: 1, wndb.CACHE_FILE: 1})
+
+
+class _RefusingLock:
+    """A lock that fails the test when anything takes it."""
+
+    def acquire(self, *args, **kwargs):
+        raise AssertionError("a warm hit took the lock")
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        return False
+
+
+class _NoSession:
+    def get(self, *args, **kwargs):
+        raise AssertionError("a warm hit sent a request")
+
+
+def _counting(calls, name, real):
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return call
+
+
+# os calls a cache read might make; os.path.exists and Path.exists both call os.stat
+OS_CALLS = ("open", "read", "close", "stat", "lstat", "fstat", "access", "listdir", "scandir", "makedirs")
+
+
+def test_a_warm_live_hit_reads_one_file_without_stat_lock_or_request(tmp_path, monkeypatch):
+    provider = CachedHttpProvider("merriam_webster", tmp_path, session=_NoSession())
+    (tmp_path / "merriam_webster").mkdir()
+    write_entry_atomic(str(tmp_path / "merriam_webster" / "nun.json"), {"found": True, "definitions": ["a woman"]})
+    provider._lock = _RefusingLock()
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        for name in OS_CALLS:
+            patch.setattr(os, name, _counting(calls, name, getattr(os, name)))
+        found = provider.lookup("nun")
+    assert found.definitions == ("a woman",)
+    assert calls == Counter({"open": 1, "read": 2, "close": 1})
+    assert provider.request_count == 0

@@ -4,7 +4,7 @@ import importlib.util
 import re
 from pathlib import Path
 
-from lexgender.providers.wndb_cache import CACHE_FILE
+from lexgender.providers.wndb import CACHE_FILE
 
 REPO = Path(__file__).resolve().parents[1]
 CAPTURED_AT = re.compile(rb'"captured_at": "[^"]*"')

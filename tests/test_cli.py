@@ -119,7 +119,6 @@ UNUSED_OFFLINE_MODULES = (
     "hashlib",
     "lexgender.providers.httpdict",
     "lexgender.providers.htmlextract",
-    "lexgender.providers.wndb_cache",
 )
 
 

@@ -107,10 +107,26 @@ def test_seed_pair_validation():
         SeedPair(1, "man", "man")
 
 
+TWO_PAIR_PLURALS = {"woman": "women", "man": "men", "wife": "wives", "husband": "husbands"}
+
+
 def test_lexicon_rejects_duplicate_forms():
     pairs = (SeedPair(1, "woman", "man"), SeedPair(2, "woman", "male"))
     with pytest.raises(ValueError):
         SeedLexicon(pairs=pairs, plurals={"woman": "women", "man": "men", "male": "males"})
+
+
+@pytest.mark.parametrize("ranks", [(2, 1), (1, 1)], ids=["descending", "repeated"])
+def test_lexicon_rejects_ranks_out_of_order(ranks):
+    # w truncates by position, so positions must follow the ranks
+    pairs = (SeedPair(ranks[0], "woman", "man"), SeedPair(ranks[1], "wife", "husband"))
+    with pytest.raises(ValueError, match="^pair ranks must be strictly ascending$"):
+        SeedLexicon(pairs, TWO_PAIR_PLURALS)
+
+
+def test_lexicon_ranks_may_skip_numbers():
+    pairs = (SeedPair(2, "wife", "husband"), SeedPair(5, "woman", "man"))
+    assert SeedLexicon(pairs, TWO_PAIR_PLURALS).feminine_forms(1) == {"wife", "wives"}
 
 
 def test_lexicon_rejects_missing_plural():

@@ -326,6 +326,15 @@ def test_network_failure_is_transport_error(tmp_path):
     assert not cache_file(tmp_path, "merriam_webster", "nun").exists()
 
 
+def test_a_session_error_not_from_requests_is_transport_error(tmp_path):
+    # an injected session may raise a plain OSError, which no requests error class covers
+    provider = _live(tmp_path, StubSession({}, exc=TimeoutError("timed out")))
+    with pytest.raises(TransportError, match=r"^merriam_webster: request for 'nun' failed: timed out$") as excinfo:
+        provider.lookup("nun")
+    assert isinstance(excinfo.value.__cause__, TimeoutError)
+    assert not cache_file(tmp_path, "merriam_webster", "nun").exists()
+
+
 def test_http_error_status_is_transport_error(tmp_path):
     session = StubSession({"nun": _mw_page("x")}, status=503)
     provider = _live(tmp_path, session)

@@ -1,9 +1,10 @@
 """The parsed-index cache that ``load_noun_index`` keeps next to a WNDB.
 
 A cache is read only when its key matches the text files, the marshal
-format, the bytecode tag and the sources of the parser and the cache code,
-and only when every record passes its checks. Anything else is ignored: the text files are
-parsed, and the cache is rewritten from the result.
+format, the bytecode tag and the source of ``providers/wndb.py``, which
+holds both the parser and the cache code, and only when every record
+passes its checks. Anything else is ignored: the text files are parsed,
+and the cache is rewritten from the result.
 """
 
 import marshal
@@ -17,9 +18,9 @@ from unittest import mock
 import pytest
 
 from lexgender.errors import DataFormatError
-from lexgender.providers import WordNetProvider, load_noun_index, wndb, wndb_cache
+from lexgender.providers import WordNetProvider, load_noun_index, wndb
 
-CACHE = wndb_cache.CACHE_FILE
+CACHE = wndb.CACHE_FILE
 
 
 @pytest.fixture()
@@ -36,7 +37,7 @@ def _parsed(directory: Path) -> dict:
 
 def _cached(directory: Path):
     """The index the cache in ``directory`` holds under the current key, or None."""
-    return wndb_cache.read_cache(directory / CACHE, wndb_cache.cache_key(directory))
+    return wndb.read_cache(directory / CACHE, wndb.cache_key(directory))
 
 
 def _names(directory: Path) -> list[str]:
@@ -67,8 +68,8 @@ def test_same_size_edit_with_restored_mtime_is_parsed(db):
 
 def _tamper(db: Path, change) -> None:
     """Rewrite the cache under its valid key, its gloss, sense and lemma records passed through ``change``."""
-    records = wndb_cache.cache_records(_parsed(db))
-    wndb_cache.write_cache(db / CACHE, wndb_cache.cache_key(db), *change(*map(list, records)))
+    records = wndb.cache_records(_parsed(db))
+    wndb.write_cache(db / CACHE, wndb.cache_key(db), *change(*map(list, records)))
 
 
 def _with_lemma(lemmas, lemma, ref):
@@ -132,7 +133,7 @@ def test_tampered_cache_is_ignored_and_rewritten(db, change):
 # the layout: magic, 32-byte key, three 4-byte record counts (gloss, sense,
 # lemma), then records, each a 4-byte length, that many marshal bytes and a
 # 32-byte running digest
-KEY_AT = len(wndb_cache._MAGIC)
+KEY_AT = len(wndb._MAGIC)
 COUNTS_AT = KEY_AT + 32
 LEMMA_COUNT_AT = COUNTS_AT + 8
 RECORDS_AT = COUNTS_AT + 12
@@ -210,8 +211,8 @@ def test_a_record_length_past_the_end_is_never_read(db, monkeypatch):
     def spy_open(file, *args, **kwargs):
         return _SpyFile(file, sizes) if Path(file).name == CACHE else open(file, *args, **kwargs)
 
-    monkeypatch.setattr(wndb_cache, "open", spy_open, raising=False)
-    assert wndb_cache.read_cache(path, wndb_cache.cache_key(db)) is None
+    monkeypatch.setattr(wndb, "open", spy_open, raising=False)
+    assert wndb.read_cache(path, wndb.cache_key(db)) is None
     assert sizes and max(sizes) <= path.stat().st_size
 
 
@@ -221,9 +222,10 @@ def test_an_error_of_the_opener_is_not_read_as_no_cache(db, monkeypatch):
     def broken_open(*args, **kwargs):
         raise TypeError("a bug in the opener")
 
-    monkeypatch.setattr(wndb_cache, "open", broken_open, raising=False)
+    key = wndb.cache_key(db)  # before the patch: the key reads the text files through open
+    monkeypatch.setattr(wndb, "open", broken_open, raising=False)
     with pytest.raises(TypeError, match="a bug in the opener"):
-        wndb_cache.read_cache(db / CACHE, wndb_cache.cache_key(db))
+        wndb.read_cache(db / CACHE, key)
 
 
 def test_cache_of_another_database_is_ignored(db, tmp_path):
@@ -238,27 +240,26 @@ def test_cache_of_another_database_is_ignored(db, tmp_path):
     assert load_noun_index(db)["nun"] == ("a woman belonging to a religious order",)
 
 
-def test_key_covers_files_marshal_bytecode_tag_and_sources(db, tmp_path, monkeypatch):
-    key = wndb_cache.cache_key(db)
-    assert wndb_cache.cache_key(db) == key and len(key) == 32
+def test_key_covers_files_marshal_bytecode_tag_and_source(db, tmp_path, monkeypatch):
+    key = wndb.cache_key(db)
+    assert wndb.cache_key(db) == key and len(key) == 32
     with monkeypatch.context() as patch:
         patch.setattr(marshal, "version", marshal.version + 1)
-        assert wndb_cache.cache_key(db) != key
+        assert wndb.cache_key(db) != key
     with monkeypatch.context() as patch:
         patch.setattr(sys.implementation, "cache_tag", "other-tag")
-        assert wndb_cache.cache_key(db) != key
-    for module in (wndb, wndb_cache):  # the parser and the cache layout
-        source = tmp_path / Path(module.__file__).name
-        source.write_bytes(Path(module.__file__).read_bytes() + b"\n")
-        with monkeypatch.context() as patch:
-            patch.setattr(module, "__file__", str(source))
-            assert wndb_cache.cache_key(db) != key
-            patch.setattr(module, "__file__", str(tmp_path / "missing.py"))
-            assert wndb_cache.cache_key(db) is None
-            assert load_noun_index(db) == _parsed(db)  # no source to key on: parsed, not cached
-            assert CACHE not in _names(db)
+        assert wndb.cache_key(db) != key
+    source = tmp_path / Path(wndb.__file__).name  # the parser and the cache layout
+    source.write_bytes(Path(wndb.__file__).read_bytes() + b"\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(wndb, "__file__", str(source))
+        assert wndb.cache_key(db) != key
+        patch.setattr(wndb, "__file__", str(tmp_path / "missing.py"))
+        assert wndb.cache_key(db) is None
+        assert load_noun_index(db) == _parsed(db)  # no source to key on: parsed, not cached
+        assert CACHE not in _names(db)
     (db / "index.noun").write_bytes((db / "index.noun").read_bytes() + b"\n")
-    assert wndb_cache.cache_key(db) != key
+    assert wndb.cache_key(db) != key
 
 
 def test_read_only_directory_loads_without_a_cache(db, monkeypatch):
@@ -290,7 +291,7 @@ def _deny_writes(monkeypatch, directory: Path) -> None:
 
 def test_read_only_directory_without_a_cache_is_parsed_without_hashing(db, monkeypatch):
     _deny_writes(monkeypatch, db)
-    monkeypatch.setattr(wndb_cache, "cache_key", mock.Mock(side_effect=AssertionError("hashed")))
+    monkeypatch.setattr(wndb, "cache_key", mock.Mock(side_effect=AssertionError("hashed")))
     assert load_noun_index(db) == _parsed(db)
     assert _names(db) == ["data.noun", "index.noun"]
 

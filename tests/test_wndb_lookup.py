@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from test_wndb_oracle import _LEMMAS, _databases, _write_db, oracle_load_noun_index
 
 from lexgender.errors import DataFormatError
-from lexgender.providers import DefinitionSet, WordNetProvider, check_word, wndb, wndb_cache
+from lexgender.providers import DefinitionSet, WordNetProvider, check_word, wndb
 
 
 def _checks(lemmas) -> list[tuple[str, str]]:
@@ -41,7 +41,7 @@ def test_lookup_gives_the_oracle_glosses(db):
             parsed = WordNetProvider(directory)
         except DataFormatError:
             return  # the errors are compared with the oracle's in test_wndb_oracle
-        assert (directory / wndb_cache.CACHE_FILE).exists()
+        assert (directory / wndb.CACHE_FILE).exists()
         with mock.patch.object(wndb, "_parse_noun_index", side_effect=AssertionError("parsed again")):
             cached = WordNetProvider(directory)
         expected = oracle_load_noun_index(directory)
@@ -62,4 +62,4 @@ def test_zero_sense_lemma_is_found_without_definitions(tmp_path):
         assert provider.lookup("apple") == DefinitionSet("apple", "wordnet", ())
         assert provider.lookup("pear") == DefinitionSet("pear", "wordnet", ("a fruit",))
         assert provider.lookup("fig") is None
-    assert (tmp_path / wndb_cache.CACHE_FILE).exists()
+    assert (tmp_path / wndb.CACHE_FILE).exists()

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexgender.errors import DataFormatError, open_utf8
-from lexgender.providers import load_noun_index, wndb, wndb_cache
+from lexgender.providers import load_noun_index, wndb
 from lexgender.providers.wndb import CASE_MESSAGE, FIELD_COUNT_MESSAGE, HEAD_MESSAGE
 
 DIGITS_MESSAGE = "numeric fields must be ASCII digits"
@@ -202,7 +202,7 @@ def test_second_load_reads_the_cache(db):
         directory = Path(tmp)
         _write_db(directory, db)
         first = _outcome(load_noun_index, directory)
-        cached = (directory / wndb_cache.CACHE_FILE).exists()
+        cached = (directory / wndb.CACHE_FILE).exists()
         if first[0] == "ok":
             with mock.patch.object(wndb, "_parse_noun_index", side_effect=AssertionError("parsed again")):
                 second = _outcome(load_noun_index, directory)
@@ -210,7 +210,7 @@ def test_second_load_reads_the_cache(db):
         else:
             assert not cached and _outcome(load_noun_index, directory) == first
         names = sorted(path.name for path in directory.iterdir())
-        assert names == ["data.noun", "index.noun"] + [wndb_cache.CACHE_FILE] * cached  # no temp file left
+        assert names == ["data.noun", "index.noun"] + [wndb.CACHE_FILE] * cached  # no temp file left
 
 
 @pytest.mark.parametrize(
