@@ -1,10 +1,8 @@
 """Lexical gender detection for English nouns via dictionary definitions.
 
-The classifier, core and error names load with the package. The evaluation
-names (``GoldEntry``, ``GridSearchResult``, ``Metrics``, ``evaluate``,
-``evaluate_results``, ``grid_search``, ``load_gold``) are imported from
-``lexgender.evaluation`` on first access, so a run that only classifies
-never loads it.
+The package exports the classifier, core and error names. Scoring against
+a gold list lives in ``lexgender.evaluation`` and corpus work in
+``lexgender.corpus``; importing the package loads neither.
 """
 
 from .classifier import (
@@ -32,19 +30,6 @@ from .core import (
 )
 from .errors import DataFormatError, LexgenderError, TransportError
 
-_LAZY_NAMES = frozenset(
-    ("GoldEntry", "GridSearchResult", "Metrics", "evaluate", "evaluate_results", "grid_search", "load_gold")
-)
-
-
-def __getattr__(name: str):
-    if name not in _LAZY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import evaluation
-
-    return getattr(evaluation, name)
-
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -52,10 +37,7 @@ __all__ = [
     "ClassifierParams",
     "DataFormatError",
     "GenderLabel",
-    "GoldEntry",
-    "GridSearchResult",
     "LexgenderError",
-    "Metrics",
     "ProviderVerdict",
     "ROUTE_DICTIONARY",
     "ROUTE_SEED",
@@ -70,10 +52,6 @@ __all__ = [
     "count_gendered",
     "count_hits",
     "default_lexicon",
-    "evaluate",
-    "evaluate_results",
-    "grid_search",
-    "load_gold",
     "seed_hits",
     "suffix_heuristic",
     "tokenize",

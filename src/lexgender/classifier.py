@@ -119,9 +119,7 @@ def suffix_heuristic(word: str) -> GenderLabel | None:
         return GenderLabel.FEM
     if word.endswith("human"):
         return None
-    if word.endswith(("man", "boy")):
-        return GenderLabel.MASC
-    return None
+    return GenderLabel.MASC
 
 
 def seed_hits(definitions: Sequence[str], lexicon: SeedLexicon) -> tuple[SeedHit, ...]:

@@ -10,7 +10,7 @@ import enum
 from typing import NamedTuple
 
 
-class GenderLabel(str, enum.Enum):
+class GenderLabel(enum.StrEnum):
     """Four-way classification outcome.
 
     NOT_FOUND is only ever produced by dictionary lookup failure, never by
@@ -21,9 +21,6 @@ class GenderLabel(str, enum.Enum):
     FEM = "fem"
     NEUT = "neut"
     NOT_FOUND = "not_found"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 #: Labels a gold-standard entry may carry (lookup failure is never gold).

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import NamedTuple, Protocol
 
 from ..errors import DataFormatError
 
@@ -22,7 +22,6 @@ class DefinitionSet(NamedTuple):
     definitions: tuple[str, ...]
 
 
-@runtime_checkable
 class Provider(Protocol):
     """One dictionary source exposing ordered noun definitions per word."""
 

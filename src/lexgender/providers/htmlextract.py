@@ -18,8 +18,8 @@ from typing import NamedTuple
 class DialectRules(NamedTuple):
     definition_tag: str
     definition_class: str
-    pos_tag: str | None = None
-    pos_class: str | None = None
+    pos_tag: str
+    pos_class: str
     strip_prefixes: tuple[str, ...] = ()
 
 
@@ -49,11 +49,11 @@ _VOID_TAGS = {
 
 # Tags are read the way the standard library's html.parser reads them:
 # quoted attribute values are skipped whole and a "/" ending an unquoted
-# value belongs to it. Attributes are matched once, never backtracked into,
-# so a tag that fails to close costs one scan. Groups: 1 an end tag's "/",
-# 2 the tag name, 4 a self-closing "/". <script>/<style> text runs to its end tag.
+# value belongs to it. Attributes are matched once, in an atomic group, so a
+# tag that fails to close costs one scan. Groups: 1 an end tag's "/", 2 the
+# tag name, 3 a self-closing "/". <script>/<style> text runs to its end tag.
 _NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
-_ATTRS = r"""(?=([^>=/]*(?:(?:/(?!>)|=+(?!=)\s*(?:"[^"]*"|'[^']*'|(?![\s"'])[^\s>=]*(?![^\s>=])))[^>=/]*)*))\3"""
+_ATTRS = r"""(?>[^>=/]*(?:(?:/(?!>)|=+(?!=)\s*(?:"[^"]*"|'[^']*'|(?![\s"'])[^\s>=]*(?![^\s>=])))[^>=/]*)*)"""
 _TOKEN = re.compile(rf"<(?:!--.*?(?:-->|\Z)|(/)?({_NAME})(?(1)[^>]*|{_ATTRS}(/)?)>|[!?/][^>]*>)", re.S)
 _RAW_TEXT_END = {tag: re.compile(rf"</{tag}(?=[\s/>])|\Z", re.I) for tag in ("script", "style")}
 _ATTR = re.compile(r"""(?:\s|/(?!>))*((?<=['"\s/])[^\s/>][^\s/=>]*)(?:\s*=+\s*(?:'([^']*)'|"([^"]*)"|(?!['"])([^>\s]*)))?""")
@@ -81,7 +81,7 @@ def extract_definitions_html(html: str, dialect: str) -> list[str]:
     definitions: list[str] = []
     buf: list[str] = []  # text of the definition being read
     depth, pos_pending = 0, False  # inside a definition (depth > 0), a part-of-speech label
-    current_pos = "noun" if rules.pos_tag is None else ""
+    current_pos = ""
     pos, text_start, last_gt = 0, 0, html.rfind(">") + 1  # every token ends in ">"
     while token := _TOKEN.search(html, pos, last_gt):
         if depth or pos_pending:  # text is read only inside a definition or a label
@@ -93,7 +93,7 @@ def extract_definitions_html(html: str, dialect: str) -> list[str]:
             else:  # a label is read one text run at a time
                 current_pos += text.strip().lower()
         pos = text_start = token.end()
-        end_tag, name, _, self_closing = token.groups()
+        end_tag, name, self_closing = token.groups()
         if name is None or (end_tag and not (depth or pos_pending)):
             continue  # a comment, declaration or end tag that changes nothing
         name = name.lower()

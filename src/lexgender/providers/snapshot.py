@@ -58,9 +58,6 @@ class SnapshotProvider:
                 raise DataFormatError(f"{source}: key {word!r} is not a trimmed lowercase word") from None
             self._entries[word] = entry_definitions(entry, source, word)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def lookup(self, word: str) -> DefinitionSet | None:
         check_word(word)
         definitions = self._entries.get(word)
@@ -76,7 +73,7 @@ def snapshot_write(provider: Provider, words: Iterable[str], path: str | Path) -
     from live providers propagate; nothing is written in that case.
     Returns the snapshot object that was written.
     """
-    from datetime import datetime, timezone  # only capturing needs it; loading never does
+    from datetime import UTC, datetime  # only capturing needs it; loading never does
 
     entries: dict[str, dict] = {}
     for word in words:
@@ -90,7 +87,7 @@ def snapshot_write(provider: Provider, words: Iterable[str], path: str | Path) -
             entries[word] = {"found": True, "definitions": list(found.definitions)}
     snapshot = {
         "provider": provider.provider_id,
-        "captured_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "captured_at": datetime.now(UTC).isoformat(timespec="seconds"),
         "entries": entries,
     }
     path = Path(path)

@@ -209,11 +209,8 @@ def cache_key(directory: Path) -> bytes | None:
     except OSError:
         return None
     for name in (DATA_FILE, INDEX_FILE):
-        digest = hashlib.sha256()
         with open(directory / name, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-        key.update(digest.digest())
+            key.update(hashlib.file_digest(fh, "sha256").digest())
     return key.digest()
 
 

@@ -16,6 +16,23 @@ from lexgender.evaluation import load_gold
 from lexgender.providers import SnapshotProvider, WordNetProvider
 
 TESTS_DATA = Path(__file__).parent / "data"
+#: Data directories of the checkout; no test may leave a new file in them.
+CHECKOUT_DATA = (TESTS_DATA, wndb_dir().parent)
+
+
+def _checkout_data_files() -> set[Path]:
+    # bytecode caches are the interpreter's, written whenever a module is first imported
+    return {path for root in CHECKOUT_DATA for path in root.rglob("*") if "__pycache__" not in path.parts}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_data_unchanged():
+    """Fail the session, naming the paths, if a test leaves a new file among the checkout's data files."""
+    before = _checkout_data_files()
+    yield
+    added = sorted(str(path) for path in _checkout_data_files() - before)
+    if added:
+        pytest.fail(f"tests left new files in the checkout: {added}", pytrace=False)
 
 
 @pytest.fixture(scope="session")
@@ -23,13 +40,22 @@ def bundled_providers():
     return [SnapshotProvider(snapshot_path(pid)) for pid in BUNDLED_SNAPSHOT_IDS]
 
 
+def _copy_wndb(source: Path, directory: Path) -> Path:
+    for name in ("data.noun", "index.noun"):
+        shutil.copyfile(source / name, directory / name)
+    return directory
+
+
 @pytest.fixture(scope="session")
 def bundled_wndb(tmp_path_factory):
     """A copy of the bundled WNDB's two text files: a load writes its index cache here, not into the package."""
-    directory = tmp_path_factory.mktemp("wndb")
-    for name in ("data.noun", "index.noun"):
-        shutil.copyfile(wndb_dir() / name, directory / name)
-    return directory
+    return _copy_wndb(wndb_dir(), tmp_path_factory.mktemp("wndb"))
+
+
+@pytest.fixture(scope="session")
+def wndb_mini(tmp_path_factory):
+    """A copy of the miniature WNDB's two text files: a load writes its index cache here, not into tests/data."""
+    return _copy_wndb(TESTS_DATA / "wndb_mini", tmp_path_factory.mktemp("wndb_mini"))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -598,6 +599,15 @@ def test_classify_deterministic():
     first = classify("sculptor", [provider])
     second = classify("sculptor", [provider])
     assert first == second
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    fem = repr(FEM)
+    assert fem == "<GenderLabel.FEM: 'fem'>"
+    assert capsys.readouterr().out == f"fem\n[{fem}, {fem}, {fem}]\n"
 
 
 def test_route_invariants():

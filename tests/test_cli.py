@@ -189,7 +189,7 @@ def test_a_cold_command_imports_only_the_modules_it_reads(code, loaded, bundled_
 LAZY_NAMES_PROBE = """
 import importlib, json
 homes = {
-    "lexgender": ("classifier", "core", "errors", "evaluation"),
+    "lexgender": ("classifier", "core", "errors"),
     "lexgender.providers": ("base", "snapshot", "wndb", "httpdict", "htmlextract"),
 }
 resolved = {}
@@ -215,7 +215,7 @@ print(json.dumps(wrong))
 
 @pytest.mark.parametrize("mode", ["getattr", "star"])
 def test_every_public_name_resolves_to_its_defining_module(mode):
-    # lexgender serves its evaluation names, and lexgender.providers its WNDB and live ones, on first access
+    # lexgender.providers serves its WNDB and live names on first access
     assert json.loads(_fresh_interpreter(f"MODE = {mode!r}\n{LAZY_NAMES_PROBE}")) == []
 
 
@@ -292,6 +292,16 @@ def test_evaluate_single_entry_gold(capsys, tmp_path):
 def test_evaluate_missing_gold_file(capsys, tmp_path):
     code, _, err = run(capsys, "evaluate", "--gold", str(tmp_path / "nope.tsv"))
     assert code == 1
+
+
+@pytest.mark.parametrize("subcommand", ["evaluate", "grid-search"])
+def test_gold_of_comments_only_exits_1(capsys, tmp_path, subcommand):
+    path = tmp_path / "gold.tsv"
+    path.write_text("# word\tlabel\tcategory\n# no entries\n")
+    code, out, err = run(capsys, subcommand, "--gold", str(path))
+    assert code == 1
+    assert err == "lexgender: cannot evaluate against an empty gold list\n"
+    assert not out
 
 
 def test_evaluate_malformed_gold_exits_3(capsys, tmp_path):
@@ -631,6 +641,26 @@ def test_live_empty_page_exits_2_naming_provider_and_word(capsys, tmp_path, monk
     assert code == 2
     assert err == "lexgender: transport error: merriam_webster: empty page for 'sculptor'\n"
     assert not out
+
+
+def test_live_without_a_cache_root_caches_under_home(capsys, tmp_path, monkeypatch):
+    page = (
+        '<span class="fl">noun</span>'
+        '<span class="dtText"><strong class="mw_t_bc">: </strong>a woman</span>'
+    )
+
+    def serve(*args, **kwargs):
+        return SimpleNamespace(status_code=200, text=page)
+
+    monkeypatch.setattr(requests.Session, "get", serve)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("LEXGENDER_CACHE", raising=False)
+    code, out, _ = run(capsys, "classify", "--format", "tsv", "--live", "merriam_webster", "nun")
+    assert (code, out) == (0, "nun\tfem\tdictionary\tmerriam_webster=fem\n")
+    assert json.loads(cache_file(tmp_path / ".cache" / "lexgender", "merriam_webster", "nun").read_text()) == {
+        "found": True,
+        "definitions": ["a woman"],
+    }
 
 
 def test_live_corrupt_cache_exits_3(capsys, tmp_path, monkeypatch):

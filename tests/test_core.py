@@ -134,6 +134,13 @@ def test_lexicon_rejects_missing_plural():
         SeedLexicon(pairs=(SeedPair(1, "woman", "man"),), plurals={"woman": "women"})
 
 
+def test_lexicon_rejects_a_plural_map_that_is_not_injective():
+    # "lady" is no seed form, so only this check sees that two words share "women"
+    plurals = {"woman": "women", "man": "men", "lady": "women"}
+    with pytest.raises(ValueError, match="^plural map must be injective$"):
+        SeedLexicon(pairs=(SeedPair(1, "woman", "man"),), plurals=plurals)
+
+
 def test_lexicon_rejects_plural_equal_to_another_seed_form():
     # "men" as man's plural and as a seed form of its own would be counted twice
     pairs = (SeedPair(1, "woman", "man"), SeedPair(2, "lady", "men"))

@@ -31,16 +31,16 @@ from lexgender.providers.httpdict import _MISSING, _READ_SIZE, read_entry, write
 # --- WNDB parsing -----------------------------------------------------------
 
 
-def test_mini_fixture_index_size(tests_data):
-    index = load_noun_index(tests_data / "wndb_mini")
+def test_mini_fixture_index_size(wndb_mini):
+    index = load_noun_index(wndb_mini)
     assert len(index) == 10
 
 
-def test_mini_fixture_sense_counts_match_line_counts(tests_data):
+def test_mini_fixture_sense_counts_match_line_counts(wndb_mini):
     # independent oracle: count offsets straight off the index file text
-    index = load_noun_index(tests_data / "wndb_mini")
+    index = load_noun_index(wndb_mini)
     expected = {}
-    for line in (tests_data / "wndb_mini" / "index.noun").read_text().splitlines():
+    for line in (wndb_mini / "index.noun").read_text().splitlines():
         if line.startswith(" ") or not line.strip():
             continue
         fields = line.split()
@@ -48,28 +48,28 @@ def test_mini_fixture_sense_counts_match_line_counts(tests_data):
     assert expected == {lemma: len(glosses) for lemma, glosses in index.items()}
 
 
-def test_mini_fixture_sense_order_and_examples(tests_data):
-    index = load_noun_index(tests_data / "wndb_mini")
+def test_mini_fixture_sense_order_and_examples(wndb_mini):
+    index = load_noun_index(wndb_mini)
     assert index["dog"][0].startswith("a member of the genus Canis")
     # example sentences (quoted segments) stay part of the gloss
     assert '"the dog barked all night"' in index["dog"][0]
     assert index["dog"][1].startswith("a hinged catch")
 
 
-def test_single_sense_lemma_has_one_definition(tests_data):
-    provider = WordNetProvider(tests_data / "wndb_mini", provider_id="mini")
+def test_single_sense_lemma_has_one_definition(wndb_mini):
+    provider = WordNetProvider(wndb_mini, provider_id="mini")
     assert len(provider.lookup("cat").definitions) == 1
 
 
-def test_multiword_lemma_lookup(tests_data):
-    provider = WordNetProvider(tests_data / "wndb_mini")
+def test_multiword_lemma_lookup(wndb_mini):
+    provider = WordNetProvider(wndb_mini)
     found = provider.lookup("fig tree")
     assert found is not None
     assert found.definitions[0].startswith("any moraceous tree")
 
 
-def test_wndb_lookup_not_found(tests_data):
-    provider = WordNetProvider(tests_data / "wndb_mini")
+def test_wndb_lookup_not_found(wndb_mini):
+    provider = WordNetProvider(wndb_mini)
     assert provider.lookup("qzxv") is None
 
 

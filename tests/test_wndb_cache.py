@@ -349,6 +349,19 @@ def test_failed_write_leaves_no_temp_file(db, monkeypatch):
     assert _names(db) == ["data.noun", "index.noun"]
 
 
+def test_a_write_error_that_is_not_an_os_error_propagates_and_leaves_no_temp_file(db):
+    with pytest.raises(ValueError, match="unmarshallable"):
+        wndb.write_cache(db / CACHE, b"key", [object()])
+    assert _names(db) == ["data.noun", "index.noun"]
+
+
+def test_cache_beside_a_missing_database_is_not_read(db):
+    load_noun_index(db)
+    key = wndb.cache_key(db)
+    (db / "data.noun").unlink()  # so the owner check cannot stat it
+    assert wndb.read_cache(db / CACHE, key) is None
+
+
 def test_malformed_database_raises_and_writes_no_cache(db):
     data = db / "data.noun"
     good = data.read_text(encoding="utf-8")

@@ -112,9 +112,8 @@ def test_bundled_db_matches_oracle(bundled_wndb):
     assert load_noun_index(bundled_wndb) == oracle_load_noun_index(bundled_wndb)
 
 
-def test_mini_fixture_matches_oracle(tests_data):
-    directory = tests_data / "wndb_mini"
-    assert load_noun_index(directory) == oracle_load_noun_index(directory)
+def test_mini_fixture_matches_oracle(wndb_mini):
+    assert load_noun_index(wndb_mini) == oracle_load_noun_index(wndb_mini)
 
 
 _LEMMAS = ["apple", "nun", "fig_tree", "monk", "pear", "widow"]
