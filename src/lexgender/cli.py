@@ -220,19 +220,10 @@ def _words(args, parser: _Parser) -> list[str]:
 
 
 def _cmd_classify(args, parser: _Parser) -> list[dict]:
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     words = _words(args, parser)
     providers = _build_providers(args, parser)
-    params, lexicon = _params(args), default_lexicon()
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda w: classify(w, providers, params, lexicon), words))
-    else:
-        results = [classify(word, providers, params, lexicon) for word in words]
-    return [_result_row(r) for r in results]
+    params = _params(args)
+    return [_result_row(classify(word, providers, params)) for word in words]
 
 
 def _evaluate_table(report: dict) -> Iterator[str]:
@@ -364,7 +355,6 @@ def build_parser() -> _Parser:
     _source_options(p)
     _param_options(p)
     _format_option(p, table=_classify_table, json=_json, tsv=_classify_tsv)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent classifications")
     p.set_defaults(func=_cmd_classify, parser=p)
 
     p = sub.add_parser("evaluate", help="score against a gold list")
@@ -413,7 +403,8 @@ def main(argv: list[str] | None = None) -> int:
         payload = args.func(args, args.parser)  # usage errors name the subcommand
         report = "\n".join(args.renderers[args.format](payload))
         if getattr(args, "out", None):  # evaluate's --out; snapshot's names its own file
-            Path(args.out).write_text(report + "\n", encoding="utf-8")
+            data = (report + "\n").encode("utf-8")  # before the open truncates an old file
+            Path(args.out).write_bytes(data)
         else:
             print(report)
         return EXIT_OK

@@ -70,7 +70,8 @@ def snapshot_write(provider: Provider, words: Iterable[str], path: str | Path) -
     """Capture ``words`` from ``provider`` into a snapshot file.
 
     Unknown words are recorded explicitly as not found. Transport errors
-    from live providers propagate; nothing is written in that case.
+    from live providers propagate, as does a UnicodeEncodeError for text
+    that is not UTF-8-encodable; nothing is written in either case.
     Returns the snapshot object that was written.
     """
     from datetime import UTC, datetime  # only capturing needs it; loading never does
@@ -90,9 +91,9 @@ def snapshot_write(provider: Provider, words: Iterable[str], path: str | Path) -
         "captured_at": datetime.now(UTC).isoformat(timespec="seconds"),
         "entries": entries,
     }
+    text = json.dumps(snapshot, ensure_ascii=False, indent=1, sort_keys=True) + "\n"
+    data = text.encode("utf-8")  # before the open truncates an old file
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
+    path.write_bytes(data)
     return snapshot

@@ -72,12 +72,6 @@ def test_classify_words_from_file(capsys, tmp_path):
     assert out.count("\n") == 2
 
 
-def test_classify_jobs_flag(capsys):
-    code, out, _ = run(capsys, "classify", "--jobs", "3", "--format", "tsv", "nun", "monk", "crew")
-    assert code == 0
-    assert [line.split("\t")[0] for line in out.strip().splitlines()] == ["nun", "monk", "crew"]
-
-
 def test_offline_forbids_live(capsys):
     code, _, err = run(capsys, "classify", "--offline", "--live", "merriam_webster", "nun")
     assert code == 1
@@ -466,7 +460,7 @@ GOLDEN_BATTERY_SHA256 = {
     "classify-table": "ce4c60e071d39cbbb714db7de291b83b52083a8538c0305c2d15bbb91b36f18e",
     "classify-json": "6097f791093761c171c84b1ff387e9dbee7f59e1e766455aa9c0ea276f2f4674",
     "classify-tsv": "de9fd19bcad00971f121d9a21f3324b7ff7a3543704158cfb400a07b8e44f29d",
-    "classify-help": "aa19f11f59b23f22ae6bfd5a6014e08b0791f6e06ee45f9ba87df6dec312bda8",
+    "classify-help": "ea5d317494af150f91bca4905c7072870c7038f8c2c8c69479a753d59e01f5aa",
     "evaluate-table": "d92bf0593cc07d665d014234209db41503c0c924a9dd398485f5d01b06f52bf3",
     "evaluate-json": "0639601d60d0b7ce046f2c9ec50d2a3bc6a137c66eba3dc6416bf8cb9d6b6fae",
     "evaluate-tsv": "237fabccfd967253724a53a9b82f463a3b3ad710973a1d70e40660495ba9556f",
@@ -483,7 +477,7 @@ GOLDEN_BATTERY_SHA256 = {
     "evaluate-tsv-out": "c8f53e2c0707d924832bdd45b2221acbbf02532071b0dac77fa88aa1d0a2d446",
     "corpus-report-sample-out": "4df433a02da255a02386cdc3d45002d944e2bd34295a7aaa9c4c145faeaba954",
     "snapshot": "3b45a46837449973de050d29c417bdb43e37b418a2922c066214f6a4a385a5ea",
-    "classify-usage": "a4d9b041e501a3e5b63dcae87314b191b2f999e44b13e7a43480542fbfd77b70",
+    "classify-usage": "5d786fa1a2a8b6728be7c7f3837410c7f662d4100f2d9fad49fa381b0a778a80",
     "evaluate-usage": "2338f2211a8182612263d9de4e4586ab3b34660a18d62425554f4bdc1820f4ea",
     "grid-search-usage": "0ccec5cc2c3f84068b2c29c72e2b4797008d36f8de491266c0ff7741bde8d7bc",
     "corpus-report-usage": "d3b177cd514be70a2191a884269c32bd4ceb0d53a9f669c45a5c65baa0a69e51",
@@ -595,6 +589,28 @@ def test_snapshot_cli_explicit_words_roundtrip(capsys, tmp_path, bundled_wndb):
     )
     assert code == 0
     assert "fem" in out
+
+
+def test_snapshot_that_cannot_be_encoded_keeps_the_old_file(capsys, tmp_path):
+    out_file = tmp_path / "copy.json"
+    assert run(capsys, "snapshot", "--out", str(out_file), "nun")[0] == 0
+    old = out_file.read_bytes()
+    # a non-UTF-8 argument byte, as sys.argv holds it
+    code, out, err = run(capsys, "snapshot", "--out", str(out_file), "nun", "a\udcff")
+    assert code == 1 and not out
+    assert "lexgender: 'utf-8' codec can't encode" in err
+    assert out_file.read_bytes() == old
+
+
+def test_report_that_cannot_be_encoded_keeps_the_old_file(capsys, tmp_path):
+    snapshot = tmp_path / "snap.json"
+    snapshot.write_text('{"provider": "wn\\udcff", "entries": {}}', encoding="utf-8")
+    report = tmp_path / "report.txt"
+    report.write_bytes(b"an earlier report\n")
+    code, out, err = run(capsys, "evaluate", "--snapshot", str(snapshot), "--out", str(report))
+    assert code == 1 and not out
+    assert "lexgender: 'utf-8' codec can't encode" in err
+    assert report.read_bytes() == b"an earlier report\n"
 
 
 def test_malformed_snapshot_exits_3(capsys, tmp_path):
@@ -726,7 +742,7 @@ SOURCE_OPTIONS = ("--wordnet", "--snapshot", "--live", "--cache-root", "--min-in
 #: Every option each subcommand takes; each one is read by its handler.
 SUBCOMMAND_OPTIONS = {
     "classify": [
-        "words", "--words-from", *SOURCE_OPTIONS, "-d", "-t", "-w", "--format", "--jobs",
+        "words", "--words-from", *SOURCE_OPTIONS, "-d", "-t", "-w", "--format",
     ],
     "evaluate": [
         "--gold", "--out", "--not-found-as-neut", *SOURCE_OPTIONS, "-d", "-t", "-w", "--format",
@@ -750,7 +766,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, parser in subcommands.items()
     }
     assert options == SUBCOMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 58
+    assert sum(map(len, options.values())) == 57
     assert {name: _format_choices(parser) for name, parser in subcommands.items()} == {
         "classify": ("table", "json", "tsv"),
         "evaluate": ("table", "json", "tsv"),
@@ -815,12 +831,11 @@ def test_snapshot_takes_words_on_both_sides_of_options(capsys, tmp_path, monkeyp
         (["snapshot", "nun", "--out", "snap.json", "--format", "json"], "unrecognized arguments: --format"),
         (["evaluate", "nun"], "unrecognized arguments: nun"),
         (["grid-search", "-d", "3"], "unrecognized arguments: -d 3"),
-        (["classify", "nun", "--jobs", "0"], "--jobs must be >= 1, got 0"),
-        (["classify", "nun", "--jobs", "-3"], "--jobs must be >= 1, got -3"),
+        (["classify", "nun", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
     ],
     ids=[
         "classify-unknown-option", "classify-no-words", "snapshot-format", "evaluate-word", "grid-search-d",
-        "classify-jobs-0", "classify-jobs-negative",
+        "classify-jobs",
     ],
 )
 def test_usage_error_in_a_subcommand_prints_its_usage(capsys, tmp_path, monkeypatch, argv, message):

@@ -30,7 +30,7 @@ class _DefinitionCollector(HTMLParser):
         self.definitions = []
         self._depth = 0  # > 0 while inside a definition element
         self._pos_pending = False
-        self._current_pos = "noun" if rules.pos_tag is None else ""
+        self._current_pos = ""
         self._buf = []
 
     def handle_starttag(self, tag, attrs):
@@ -46,7 +46,7 @@ class _DefinitionCollector(HTMLParser):
             if self._current_pos == "noun":
                 self._depth = 1
                 self._buf = []
-        elif rules.pos_tag and tag == rules.pos_tag and _has_class(attrs, rules.pos_class):
+        elif tag == rules.pos_tag and _has_class(attrs, rules.pos_class):
             self._pos_pending = True
             self._current_pos = ""
 

@@ -24,9 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexgender.data import wndb_dir
 from lexgender.errors import DataFormatError, open_utf8
 from lexgender.providers import load_noun_index, wndb
 from lexgender.providers.wndb import CASE_MESSAGE, FIELD_COUNT_MESSAGE, HEAD_MESSAGE
+
+from conftest import TESTS_DATA, _copy_wndb
 
 DIGITS_MESSAGE = "numeric fields must be ASCII digits"
 
@@ -108,12 +111,18 @@ def _position(error) -> tuple[bool, int]:
     return (error[1].startswith("index.noun"), error[2])
 
 
-def test_bundled_db_matches_oracle(bundled_wndb):
-    assert load_noun_index(bundled_wndb) == oracle_load_noun_index(bundled_wndb)
+def _assert_parse_matches_oracle(source: Path, tmp_path: Path) -> None:
+    directory = _copy_wndb(source, tmp_path)  # a fresh copy, so the load parses it and reads no cache
+    assert not (directory / wndb.CACHE_FILE).exists()
+    assert load_noun_index(directory) == oracle_load_noun_index(directory)
 
 
-def test_mini_fixture_matches_oracle(wndb_mini):
-    assert load_noun_index(wndb_mini) == oracle_load_noun_index(wndb_mini)
+def test_bundled_db_matches_oracle(tmp_path):
+    _assert_parse_matches_oracle(wndb_dir(), tmp_path)
+
+
+def test_mini_fixture_matches_oracle(tmp_path):
+    _assert_parse_matches_oracle(TESTS_DATA / "wndb_mini", tmp_path)
 
 
 _LEMMAS = ["apple", "nun", "fig_tree", "monk", "pear", "widow"]
